@@ -36,6 +36,7 @@ from repro.obs.metrics import metrics as _M
 from repro.obs.tracer import tracer as _T
 from repro.semantics import SymState
 from repro.smt.linear import linearize
+from repro.smt.solver import region_key
 
 #: The four triple statuses, in reporting order.
 STATUSES = ("proven", "assumed", "untested", "FAILED")
@@ -132,7 +133,7 @@ class _WitnessSampler:
 
         def visit(tree: MemTree):
             if len(tree.regions) > 1:
-                groups.append(sorted(tree.regions, key=str))
+                groups.append(sorted(tree.regions, key=region_key))
             for child in tree.children:
                 visit(child)
 

@@ -22,6 +22,7 @@ from repro.hoare.graph import VertexKey
 from repro.obs.profile import phase as _phase
 from repro.obs.tracer import tracer as _T
 from repro.export.terms import _sanitize, to_isabelle
+from repro.smt.solver import region_key
 
 
 def _key_name(key: VertexKey) -> str:
@@ -55,7 +56,7 @@ def _state_definition(name: str, state) -> str:
             f"{to_isabelle(clause.lhs)} {symbol} {to_isabelle(clause.rhs)}"
         )
     for tree in sorted(state.model.trees, key=str):
-        regions = sorted(tree.all_regions(), key=str)
+        regions = sorted(tree.all_regions(), key=region_key)
         if len(regions) > 1:
             conjuncts.append(
                 "memrel σ (" + ", ".join(

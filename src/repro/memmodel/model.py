@@ -20,9 +20,11 @@ Models are immutable; every operation returns new models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
-from repro.expr import EvalEnv, EvalError, Expr, evaluate
+from repro.expr import EvalEnv, EvalError, evaluate
+from repro.perf import register_lru
 from repro.smt.solver import (
     Assumption,
     BoundsProvider,
@@ -31,6 +33,7 @@ from repro.smt.solver import (
     Relation,
     decide_relation,
     possible_relations,
+    region_key,
 )
 
 
@@ -51,15 +54,29 @@ class MemTree:
             out |= child.all_regions()
         return frozenset(out)
 
+    # The rendering and the representative are cached on the instance:
+    # forests are sorted by rendering on every insertion and join.  Both
+    # stay out of pickles (``__reduce__`` passes the two fields only).
+
     def representative(self) -> Region:
-        return min(self.regions, key=str)
+        rep = self.__dict__.get("_rep")
+        if rep is None:
+            rep = min(self.regions, key=region_key)
+            object.__setattr__(self, "_rep", rep)
+        return rep
 
     def __str__(self) -> str:
-        node = "{" + ", ".join(sorted(map(str, self.regions))) + "}"
-        if not self.children:
-            return node
-        inner = ", ".join(sorted(str(c) for c in self.children))
-        return f"{node}⟨{inner}⟩"
+        text = self.__dict__.get("_str")
+        if text is None:
+            text = "{" + ", ".join(sorted(map(region_key, self.regions))) + "}"
+            if self.children:
+                inner = ", ".join(sorted(str(c) for c in self.children))
+                text = f"{text}⟨{inner}⟩"
+            object.__setattr__(self, "_str", text)
+        return text
+
+    def __reduce__(self):
+        return (MemTree, (self.regions, self.children))
 
 
 @dataclass(frozen=True)
@@ -78,7 +95,8 @@ class MemModel:
     def __str__(self) -> str:
         body = ", ".join(sorted(str(t) for t in self.trees))
         if self.destroyed:
-            body += " ☠{" + ", ".join(sorted(map(str, self.destroyed))) + "}"
+            destroyed = sorted(map(region_key, self.destroyed))
+            body += " ☠{" + ", ".join(destroyed) + "}"
         return "⟦" + body + "⟧"
 
 
@@ -371,9 +389,7 @@ def tree_holds(tree: MemTree, env: EvalEnv) -> bool:
         return False
     for child in tree.children:
         try:
-            child_span = _region_bytes(
-                min(child.regions, key=str), env
-            )
+            child_span = _region_bytes(child.representative(), env)
         except EvalError:
             return False
         if not child_span <= first:
@@ -414,7 +430,25 @@ def join_models(m0: MemModel, m1: MemModel,
     forests.  A class represented on only one side is dropped: the join is
     a *disjunction*, and the other side's states support no claim about
     those regions.  *parent* is set when joining a node's child forests:
-    one-sided children survive only with provable enclosure in it."""
+    one-sided children survive only with provable enclosure in it.
+
+    Memoized: the join reads nothing but its arguments (every solver query
+    in it runs without predicate bounds), and a loop head re-joins the
+    same pair of models on every fixpoint iteration."""
+    return _join_models_cached(m0, m1, parent)
+
+
+@lru_cache(maxsize=1 << 14)
+def _join_models_cached(m0: MemModel, m1: MemModel,
+                        parent: Region | None) -> MemModel:
+    return _join_models_impl(m0, m1, parent)
+
+
+register_lru("memmodel.join", _join_models_cached)
+
+
+def _join_models_impl(m0: MemModel, m1: MemModel,
+                      parent: Region | None) -> MemModel:
     distinct = list(m0.trees | m1.trees)
     classes: list[list[MemTree]] = []
     for tree in sorted(distinct, key=str):
@@ -445,7 +479,7 @@ def join_models(m0: MemModel, m1: MemModel,
         children1 = frozenset().union(*(t.children for t in in1))
         child_join = join_models(
             MemModel(children0), MemModel(children1),
-            parent=min(common, key=str),
+            parent=min(common, key=region_key),
         )
         joined.add(MemTree(common, child_join.trees))
 

@@ -21,8 +21,6 @@ class PerfCounters:
         "intern_hits",           # constructor calls served from the tables
         "solver_hits",           # SMT verdict cache hits
         "solver_misses",
-        "join_shortcircuits",    # identity short-circuits in join_states
-        "equal_shortcircuits",   # identity short-circuits in states_equal
         "lift_joins",            # vertex joins that actually changed a state
         "cache_lift_hits",       # persistent lift-store hits
         "cache_lift_misses",     # persistent lift-store misses

@@ -145,14 +145,19 @@ def intersect_intervals(term: Expr, clauses) -> Interval:
 def _intersect_cached(term: Expr, clauses: frozenset) -> Interval:
     """Two passes: unsigned (and sign-bit-clearing) bounds first, then signed
     upper bounds, which become plain unsigned bounds once the first pass
-    has pinned the term below the sign bit."""
-    result = from_width(term.width)
+    has pinned the term below the sign bit.
+
+    Contradictory unsigned bounds give the whole width interval: the
+    result must not depend on which clauses the set happens to yield
+    before the contradiction (frozenset order follows the hash seed)."""
+    width_interval = from_width(term.width)
+    result = width_interval
     for clause in clauses:
         bound = clause_interval(clause, term)
         if bound is not None:
             clipped = result.intersect(bound)
             if clipped is None:
-                return result  # contradictory bounds; stay conservative
+                return width_interval  # contradictory; stay conservative
             result = clipped
     half = 1 << (term.width - 1)
     if result.hi < half:

@@ -19,10 +19,12 @@ unbounded join variable, so joining terminates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 from repro.expr import (
+    App,
     Const,
     Deref,
     EvalEnv,
@@ -88,14 +90,23 @@ class Predicate:
 
     def __hash__(self) -> int:
         # Same value the generated frozen-dataclass hash would produce,
-        # cached on first use: the uop engine's transfer memo hashes whole
-        # predicates on every probe, and the field walk (17 register pairs
-        # plus mem regions) is measurable at that frequency.
+        # cached on first use: memo keys hash whole predicates, and the
+        # field walk (17 register pairs plus mem regions) is measurable at
+        # that frequency.
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash((self.regs, self.flags, self.mem, self.clauses))
             object.__setattr__(self, "_hash", h)
         return h
+
+    def __reduce__(self):
+        # Rebuild from the four fields only.  The cached hash is salted
+        # per process and must not travel; the clauses go in a fixed order
+        # so the pickled bytes do not depend on the hash seed either.
+        return (_rebuild_predicate, (
+            self.regs, self.flags, self.mem,
+            tuple(sorted(self.clauses, key=_clause_sort_key)),
+        ))
 
     # -- views ---------------------------------------------------------------
     def reg_dict(self) -> dict[str, Expr]:
@@ -210,6 +221,14 @@ class Predicate:
         return "{" + ", ".join(parts) + "}"
 
 
+def _rebuild_predicate(regs, flags, mem, clauses) -> Predicate:
+    return Predicate(regs, flags, mem, frozenset(clauses))
+
+
+def _clause_sort_key(clause: Clause) -> tuple:
+    return (str(clause), clause.width, clause.lhs.width, clause.rhs.width)
+
+
 @lru_cache(maxsize=1 << 16)
 def _interval_of_cached(term: Expr, clauses: frozenset) -> Interval | None:
     interval = intersect_intervals(term, clauses)
@@ -256,12 +275,22 @@ def _join_values(
 ) -> tuple[Expr | None, tuple[Clause, ...]]:
     """Join two valuations of one state part (memoized).
 
-    The result is a pure function of the arguments (the join variable name
-    depends only on *rip* and *part_name*), and join fixpoints re-join the
-    same value pairs under the same clause sets at every iteration."""
+    The result is a pure function of the values and of the clauses the
+    join can read: those whose normalized left-hand side is a term in
+    :func:`_join_shape`'s term set.  The memo keys on that projection of
+    each side's clause set, not on the whole set, which changes on every
+    fixpoint iteration while the projected part settles."""
     if v0 is None or v1 is None:
         return None, ()
-    return _join_values_cached(part_name, rip, v0, v1, bounds0, bounds1)
+    if v0 is v1:
+        if not isinstance(v0, Var):
+            return v0, ()
+        terms: tuple[Expr, ...] = (v0,)  # only v0's own bounds are read
+    else:
+        terms = _join_shape(part_name, rip, v0, v1).terms
+    return _join_values_cached(part_name, rip, v0, v1,
+                               _project(bounds0, terms),
+                               _project(bounds1, terms))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -270,14 +299,100 @@ def _join_values_cached(
     rip: int,
     v0: Expr,
     v1: Expr,
-    bounds0: frozenset[Clause],
-    bounds1: frozenset[Clause],
+    proj0: frozenset[Clause],
+    proj1: frozenset[Clause],
 ) -> tuple[Expr | None, tuple[Clause, ...]]:
-    value, clauses = _join_values_impl(part_name, rip, v0, v1, bounds0, bounds1)
+    value, clauses = _join_values_impl(part_name, rip, v0, v1, proj0, proj1)
     return value, tuple(clauses)
 
 
 register_lru("pred.join_values", _join_values_cached)
+
+
+def _project(clauses: frozenset[Clause], terms) -> frozenset[Clause]:
+    """The clauses whose normalized left-hand side is one of *terms*."""
+    index = _clause_index(clauses)
+    return frozenset(
+        clause for term in terms for clause in index.get(term, ())
+    )
+
+
+@lru_cache(maxsize=1 << 12)
+def _clause_index(clauses: frozenset[Clause]) -> dict[Expr, tuple]:
+    """``normalized().lhs -> clauses`` for one clause set.  A predicate's
+    clause set is projected once per joined part, so the index is shared
+    by every part of a join and by later joins of the same predicate."""
+    index: dict[Expr, list[Clause]] = {}
+    for clause in clauses:
+        lhs = clause.lhs
+        if isinstance(lhs, Const) and not isinstance(clause.rhs, Const):
+            lhs = clause.rhs  # clause.normalized().lhs
+        index.setdefault(lhs, []).append(clause)
+    return {lhs: tuple(group) for lhs, group in index.items()}
+
+
+register_lru("pred.clause_index", _clause_index)
+
+
+class _JoinShape(NamedTuple):
+    """The clause-independent part of joining two distinct values."""
+
+    join_var: Var
+    width: int
+    #: The linear part both values share, in ``expr_key`` order.
+    common: tuple[tuple[Expr, int], ...]
+    #: What is left of each side once the common part is taken out.
+    resid0: Expr
+    resid1: Expr
+    #: Every term whose bounds the join reads: both values, the join
+    #: variable, and the linear terms (and ``zext`` arguments) of the
+    #: residuals that :func:`expr_interval` bounds.
+    terms: tuple[Expr, ...]
+
+
+@lru_cache(maxsize=1 << 16)
+def _join_shape(part_name: str, rip: int, v0: Expr, v1: Expr) -> _JoinShape:
+    """Split *v0* and *v1* into a common linear part and two residuals."""
+    # Range abstraction over *linear offsets* (the general form of Example
+    # 3.4): when the two values share their symbolic part and differ by a
+    # bounded residual, the join is ``common + OFF`` with interval-bounded
+    # OFF.  Plain constants are the special case with an empty common part.
+    join_var = Var(f"join@{rip:#x}@{part_name}")
+    width = v0.width if v0.width == v1.width else 64
+    lin0, lin1 = linearize(v0, width), linearize(v1, width)
+    d0, d1 = lin0.term_dict(), lin1.term_dict()
+    # The part's own join variable never belongs to the common part: a
+    # self-referential value (the loop-increment shape ``X`` ⊔ ``X + 1``)
+    # folds X into both residuals instead, re-deriving X's interval per
+    # side — the new incarnation of X absorbs the increment.
+    common = {
+        t: co for t, co in d0.items() if d1.get(t) == co and t != join_var
+    }
+
+    def residual(lin, terms) -> Expr:
+        expr: Expr = Const(lin.const, width)
+        for term, coeff in terms.items():
+            if common.get(term) != coeff:
+                expr = simplify_add(expr, simplify_mul(term, coeff, width),
+                                    width)
+        return expr
+
+    resid0, resid1 = residual(lin0, d0), residual(lin1, d1)
+    terms = {v0: None, v1: None, join_var: None}
+    for resid in (resid0, resid1):
+        if isinstance(resid, Const):
+            continue
+        for term, _ in linearize(resid).terms:
+            terms[term] = None
+            if isinstance(term, App) and term.op == "zext":
+                terms[term.args[0]] = None
+    return _JoinShape(join_var, width,
+                      tuple(sorted(common.items(),
+                                   key=lambda kv: expr_key(kv[0]))),
+                      resid0, resid1, tuple(terms))
+
+
+register_lru("pred.join_shape", _join_shape)
 
 
 def _join_values_impl(
@@ -316,32 +431,11 @@ def _join_values_impl(
         if hull.hi < (1 << width) - 1:
             bounds.append(Clause(v0, "leu", Const(hull.hi, width), width))
         return v0, bounds
-    # Range abstraction over *linear offsets* (the general form of Example
-    # 3.4): when the two values share their symbolic part and differ by a
-    # bounded residual, the join is ``common + OFF`` with interval-bounded
-    # OFF.  Plain constants are the special case with an empty common part.
-    join_var = Var(f"join@{rip:#x}@{part_name}")
-    width = v0.width if v0.width == v1.width else 64
-    lin0, lin1 = linearize(v0, width), linearize(v1, width)
-    d0, d1 = lin0.term_dict(), lin1.term_dict()
-    # The part's own join variable never belongs to the common part: a
-    # self-referential value (the loop-increment shape ``X`` ⊔ ``X + 1``)
-    # folds X into both residuals instead, re-deriving X's interval per
-    # side — the new incarnation of X absorbs the increment.
-    common = {
-        t: co for t, co in d0.items() if d1.get(t) == co and t != join_var
-    }
-
-    def residual(lin, terms, own_bounds):
-        extra = {t: co for t, co in terms.items() if common.get(t) != co}
-        provider = _ClauseBounds(own_bounds)
-        expr: Expr = Const(lin.const, width)
-        for term, coeff in extra.items():
-            expr = simplify_add(expr, simplify_mul(term, coeff, width), width)
-        return expr, expr_interval(expr, provider)
-
-    resid0, iv0 = residual(lin0, d0, bounds0)
-    resid1, iv1 = residual(lin1, d1, bounds1)
+    shape = _join_shape(part_name, rip, v0, v1)
+    join_var, width = shape.join_var, shape.width
+    resid0, resid1 = shape.resid0, shape.resid1
+    iv0 = expr_interval(resid0, _ClauseBounds(bounds0))
+    iv1 = expr_interval(resid1, _ClauseBounds(bounds1))
     if iv0.is_top or iv1.is_top:
         return join_var, []
 
@@ -358,7 +452,7 @@ def _join_values_impl(
         other_iv = iv0
 
     value = join_var
-    for term, coeff in sorted(common.items(), key=lambda kv: expr_key(kv[0])):
+    for term, coeff in shape.common:
         value = simplify_add(value, simplify_mul(term, coeff, width), width)
 
     if prior is not None and other_iv is not None:
@@ -475,7 +569,7 @@ def join_predicates(p0: Predicate, p1: Predicate, rip: int) -> Predicate:
     # Garbage-collect bounds on join variables no longer referenced by any
     # valuation: they constrain nothing, and letting stale generations
     # accumulate would keep the state changing forever (no fixpoint).
-    live = _referenced_var_names(result)
+    live = set(_referenced_var_names(result))
     if result.flags is not None:
         for operand in (result.flags.a, result.flags.b):
             if operand is not None:
@@ -487,7 +581,7 @@ def join_predicates(p0: Predicate, p1: Predicate, rip: int) -> Predicate:
                 and clause.lhs.name not in live)
     )
     if cleaned != result.clauses:
-        result = replace(result, clauses=cleaned)
+        result = _replace_clauses(result, cleaned)
     if _T.enabled:
         _T.emit_sampled("pred.join", rip,
                         clauses=len(result.clauses),
@@ -496,15 +590,30 @@ def join_predicates(p0: Predicate, p1: Predicate, rip: int) -> Predicate:
     return result
 
 
-def _referenced_var_names(pred: Predicate) -> set[str]:
-    """Variable names occurring in the predicate's valuations."""
-    names: set[str] = set()
-    for _, value in pred.regs:
-        names.update(variable_names(value))
-    for region, value in pred.mem:
-        names.update(variable_names(region.addr))
-        names.update(variable_names(value))
+def _referenced_var_names(pred: Predicate) -> frozenset[str]:
+    """Variable names occurring in the predicate's valuations (cached on
+    the predicate, which every join of it on either side asks again)."""
+    names = pred.__dict__.get("_refnames")
+    if names is None:
+        found: set[str] = set()
+        for _, value in pred.regs:
+            found.update(variable_names(value))
+        for region, value in pred.mem:
+            found.update(variable_names(region.addr))
+            found.update(variable_names(value))
+        names = frozenset(found)
+        object.__setattr__(pred, "_refnames", names)
     return names
+
+
+def _replace_clauses(pred: Predicate, clauses: frozenset[Clause]) -> Predicate:
+    """*pred* with another clause set.  The valuations stay, and so do
+    their cached variable names."""
+    out = replace(pred, clauses=clauses)
+    names = pred.__dict__.get("_refnames")
+    if names is not None:
+        object.__setattr__(out, "_refnames", names)
+    return out
 
 
 def _join_foreign_var_clauses(
@@ -531,7 +640,7 @@ def _join_foreign_var_clauses(
         # joined flags constrains them), and compound clause expressions.
         # Missing the flags made a kept one-sided bound contradict the
         # other path's flag state — an unsound (unsatisfiable) join.
-        names = _referenced_var_names(pred)
+        names = set(_referenced_var_names(pred))
         if pred.flags is not None:
             for operand in (pred.flags.a, pred.flags.b):
                 if operand is not None:
@@ -578,6 +687,4 @@ def widen_predicate(pred: Predicate) -> Predicate:
         clause for clause in pred.clauses
         if not (isinstance(clause.lhs, Var) and clause.lhs.name.startswith("join@"))
     )
-    from dataclasses import replace as _replace
-
-    return _replace(pred, clauses=kept)
+    return _replace_clauses(pred, kept)

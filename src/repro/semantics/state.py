@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 from repro.elf import Binary
 from repro.expr import Const, Expr, Var
 from repro.memmodel import MemModel, join_models
-from repro.perf.counters import gated as _gated
 from repro.pred import Predicate, join_predicates
 from repro.smt.solver import Region
 
@@ -109,21 +108,7 @@ def initial_state(entry: int, ret_symbol: Var | None = None) -> SymState:
 
 
 def join_states(s0: SymState, s1: SymState, rip: int) -> SymState:
-    """Definition 3.15: component-wise join.
-
-    Identity short-circuit: the join is idempotent, so joining a state
-    with itself (component-wise) only needs the bookkeeping fields merged.
-    With hash-consed expressions, states re-enqueued unchanged hit this
-    path instead of re-running the full predicate/model joins.
-    """
-    if s0.pred is s1.pred and s0.model is s1.model:
-        _gated("join_shortcircuits")
-        return SymState(
-            pred=s0.pred,
-            model=s0.model,
-            epoch=max(s0.epoch, s1.epoch),
-            reachable=s0.reachable or s1.reachable,
-        )
+    """Definition 3.15: component-wise join."""
     return SymState(
         pred=join_predicates(s0.pred, s1.pred, rip),
         model=join_models(s0.model, s1.model),
@@ -133,14 +118,5 @@ def join_states(s0: SymState, s1: SymState, rip: int) -> SymState:
 
 
 def states_equal(s0: SymState, s1: SymState) -> bool:
-    if s0 is s1:
-        _gated("equal_shortcircuits")
-        return True
-    if s0.epoch != s1.epoch:
-        return False
-    pred_equal = s0.pred is s1.pred or s0.pred == s1.pred
-    if not pred_equal:
-        return False
-    if s0.pred is s1.pred and s0.model is s1.model:
-        _gated("equal_shortcircuits")
-    return s0.model is s1.model or s0.model == s1.model
+    return (s0.epoch == s1.epoch and s0.pred == s1.pred
+            and s0.model == s1.model)
