@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
-from repro.expr import Const, Deref, EvalEnv, EvalError, Expr, Var, evaluate
+from repro.expr import MASK64, EvalEnv, EvalError, Var, compile_expr, evaluate
 from repro.hoare import LiftResult
 from repro.hoare.graph import VertexKey
 from repro.hoare.resolve import is_return_symbol
@@ -34,6 +35,7 @@ from repro.machine import CPU, Memory
 from repro.memmodel import MemModel, MemTree, model_holds
 from repro.obs.metrics import metrics as _M
 from repro.obs.tracer import tracer as _T
+from repro.pred.clause import compile_clause
 from repro.semantics import SymState
 from repro.smt.linear import linearize
 from repro.smt.solver import region_key
@@ -101,12 +103,40 @@ class CheckReport:
 
 
 class _WitnessSampler:
-    """Builds concrete states satisfying a symbolic state."""
+    """The witness plan of one symbolic state.
 
-    def __init__(self, state: SymState, binary, rng: random.Random):
+    Everything a witness needs that depends on the state alone is worked
+    out here once: the variables in sampling order with how each is drawn,
+    each guided variable's own clauses, the aliasing moves and the
+    compiled register and memory valuations.  :func:`check_triples` builds
+    one plan per ``(source, instruction)`` group, so a witness attempt only
+    draws values and runs compiled expressions.
+
+    The plan must not change what an attempt draws: every attempt calls
+    the rng exactly as sampling from the state directly did, in the same
+    order (both ``randint`` calls of a guided value, the lazy byte draws of
+    the initial-memory reader, the random registers and flag bits).  The
+    witnesses, and so every report, depend on that sequence.
+    """
+
+    def __init__(self, state: SymState):
         self.state = state
-        self.binary = binary
-        self.rng = rng
+        pred = state.pred
+        #: (name, fixed value or None, interval or None, own-clause checks)
+        #: in sampling order; a variable with neither a fixed value nor a
+        #: small interval gets a guided value.
+        self.variables = [self._variable_plan(var)
+                          for var in sorted(self._collect_vars(), key=str)]
+        #: Forced aliasing: (anchor address, [(variable, constant)]) per
+        #: node of several regions; each move sets the variable so that
+        #: ``variable + constant`` lands on the anchor's address.
+        self.alias_moves = [self._alias_plan(group)
+                            for group in self._alias_groups()]
+        self.regs: dict[str, Callable] = {}
+        for reg, value in pred.regs:
+            self.regs.setdefault(reg, compile_expr(value))
+        self.mem = [(compile_expr(region.addr), compile_expr(value),
+                     region.size) for region, value in pred.mem]
 
     def _collect_vars(self) -> set[Var]:
         out: set[Var] = set()
@@ -127,6 +157,21 @@ class _WitnessSampler:
             out |= {v for v in region.addr.walk() if isinstance(v, Var)}
         return out
 
+    def _variable_plan(self, var: Var) -> tuple:
+        name = var.name
+        if name == "rsp0":
+            return name, WITNESS_STACK, None, ()
+        if is_return_symbol(var) or name == "ret0":
+            return name, RETURN_SENTINEL, None, ()
+        interval = self.state.pred.interval_of(var)
+        if interval is not None and interval.size() < (1 << 32):
+            return name, None, interval, ()
+        own_clauses = tuple(
+            compile_clause(clause) for clause in self.state.pred.clauses
+            if clause.normalized().lhs == var
+        )
+        return name, None, None, own_clauses
+
     def _alias_groups(self) -> list[list]:
         """Region groups the memory model forces to alias."""
         groups = []
@@ -141,76 +186,73 @@ class _WitnessSampler:
             visit(tree)
         return groups
 
-    def sample_variables(self) -> dict[str, int] | None:
-        variables: dict[str, int] = {}
-        rng = self.rng
-        pred = self.state.pred
+    @staticmethod
+    def _alias_plan(group: list) -> tuple:
+        moves = []
+        for other in group[1:]:
+            linear = linearize(other.addr)
+            terms = linear.term_dict()
+            if len(terms) == 1:
+                (term, coeff), = terms.items()
+                if coeff == 1 and isinstance(term, Var):
+                    moves.append((term.name, linear.const))
+        return compile_expr(group[0].addr), moves
 
-        for var in sorted(self._collect_vars(), key=str):
-            name = var.name
-            if name == "rsp0":
-                variables[name] = WITNESS_STACK
-            elif is_return_symbol(var) or name == "ret0":
-                variables[name] = RETURN_SENTINEL
+    def sample_variables(self, rng: random.Random) -> dict[str, int] | None:
+        variables: dict[str, int] = {}
+        for name, fixed, interval, own_clauses in self.variables:
+            if fixed is not None:
+                variables[name] = fixed
+            elif interval is not None:
+                variables[name] = rng.randint(interval.lo, interval.hi)
             else:
-                interval = pred.interval_of(var)
-                if interval is not None and interval.size() < (1 << 32):
-                    variables[name] = rng.randint(interval.lo, interval.hi)
-                else:
-                    variables[name] = self._guided_value(var, rng)
+                variables[name] = _guided_value(name, own_clauses, rng)
 
         # Realize forced aliasing: make node-mates' addresses coincide by
         # adjusting single-variable bases.
-        for group in self._alias_groups():
-            anchor = group[0]
+        for anchor, moves in self.alias_moves:
             try:
-                target = self._eval_addr(anchor.addr, variables)
+                target = anchor(EvalEnv(variables=variables))
             except EvalError:
                 return None
-            for other in group[1:]:
-                linear = linearize(other.addr)
-                terms = linear.term_dict()
-                if len(terms) == 1:
-                    (term, coeff), = terms.items()
-                    if coeff == 1 and isinstance(term, Var):
-                        variables[term.name] = (target - linear.const) % (1 << 64)
+            for name, const in moves:
+                variables[name] = (target - const) % (1 << 64)
         return variables
 
-    def _eval_addr(self, expr: Expr, variables: dict[str, int]) -> int:
-        return evaluate(expr, EvalEnv(variables=variables))
 
-    def _guided_value(self, var: Var, rng: random.Random) -> int:
-        """A candidate value satisfying the variable's own clauses.
+def _guided_value(name: str, own_clauses, rng: random.Random) -> int:
+    """A candidate value satisfying the variable's own clauses.
 
-        Tries a spread pointer-ish value, its negative mirror, zero and a
-        few small constants; accepts the first one every single-variable
-        clause on *var* admits (so e.g. ``x <s 0`` paths are samplable)."""
-        positive = SCRATCH_BASE + 0x1000 * rng.randint(0, 64)
-        candidates = [
-            positive,
-            (1 << 64) - positive,       # negative mirror
-            0, 1, rng.randint(0, 255),
-            (1 << 63) | positive,       # high-bit-set pointer
-        ]
-        own_clauses = [
-            clause for clause in self.state.pred.clauses
-            if clause.normalized().lhs == var
-        ]
-        for candidate in candidates:
-            env = EvalEnv(variables={var.name: candidate})
-            try:
-                if all(clause.holds(env) for clause in own_clauses):
-                    return candidate
-            except EvalError:
-                break
+    Tries a spread pointer-ish value, its negative mirror, zero and a
+    few small constants; accepts the first one every single-variable
+    clause on the variable admits (so e.g. ``x <s 0`` paths are
+    samplable)."""
+    positive = SCRATCH_BASE + 0x1000 * rng.randint(0, 64)
+    small = rng.randint(0, 255)
+    if not own_clauses:
         return positive
+    candidates = (
+        positive,
+        (1 << 64) - positive,       # negative mirror
+        0, 1, small,
+        (1 << 63) | positive,       # high-bit-set pointer
+    )
+    env = EvalEnv()
+    for candidate in candidates:
+        env.variables[name] = candidate
+        try:
+            if all(check(env) for check in own_clauses):
+                return candidate
+        except EvalError:
+            break
+    return positive
 
 
 def _make_initial_reader(binary, overlay: dict[int, int], rng: random.Random):
     def read(addr: int, size: int) -> int:
         value = 0
         for i in range(size):
-            a = (addr + i) & ((1 << 64) - 1)
+            a = (addr + i) & MASK64
             if a not in overlay:
                 section = binary.section_at(a)
                 if section is not None:
@@ -224,11 +266,11 @@ def _make_initial_reader(binary, overlay: dict[int, int], rng: random.Random):
 
 
 def build_witness(
-    state: SymState, binary, rng: random.Random
+    sampler: _WitnessSampler, binary, rng: random.Random
 ) -> tuple[CPU, EvalEnv] | None:
-    """One concrete CPU state satisfying *state*, or None."""
-    sampler = _WitnessSampler(state, binary, rng)
-    variables = sampler.sample_variables()
+    """One concrete CPU state satisfying the sampler's state, or None."""
+    state = sampler.state
+    variables = sampler.sample_variables(rng)
     if variables is None:
         return None
     overlay: dict[int, int] = {}
@@ -240,19 +282,19 @@ def build_witness(
     # Registers: valued ones from the predicate, the rest randomized.
     try:
         for reg in list(cpu.regs):
-            value = state.pred.get_reg(reg)
+            value = sampler.regs.get(reg)
             if value is not None:
-                cpu.regs[reg] = evaluate(value, env)
+                cpu.regs[reg] = value(env)
             else:
                 cpu.regs[reg] = rng.getrandbits(32)
         # Memory valuation clauses define current memory (and, where the
         # initial bytes are still undefined, initial memory too).
-        for region, value in state.pred.mem:
-            addr = evaluate(region.addr, env)
-            concrete = evaluate(value, env)
-            cpu.memory.write(addr, concrete, region.size)
-            for i in range(region.size):
-                overlay.setdefault((addr + i) & ((1 << 64) - 1),
+        for addr_fn, value_fn, size in sampler.mem:
+            addr = addr_fn(env)
+            concrete = value_fn(env)
+            cpu.memory.write(addr, concrete, size)
+            for i in range(size):
+                overlay.setdefault((addr + i) & MASK64,
                                    (concrete >> (8 * i)) & 0xFF)
     except EvalError:
         return None
@@ -375,16 +417,20 @@ def check_triples(
             continue
 
         rng = random.Random(seed ^ instr_addr)
+        sampler = _WitnessSampler(src_state)
         passed = 0
         attempts = 0
         failure = ""
         while passed < samples and attempts < samples * max_attempts_factor:
             attempts += 1
-            witness = build_witness(src_state, result.binary, rng)
+            witness = build_witness(sampler, result.binary, rng)
             if witness is None:
                 continue
             cpu, env = witness
-            if not _replay_one(cpu, env, instr, dsts, graph, result):
+            replayed = _replay_one(cpu, env, instr, dsts, graph)
+            if replayed is None:
+                continue
+            if not replayed:
                 failure = f"witness violates postcondition after {instr}"
                 break
             passed += 1
@@ -406,14 +452,16 @@ def check_triples(
     return report
 
 
-def _replay_one(cpu: CPU, env: EvalEnv, instr, dsts, graph, result) -> bool:
+def _replay_one(cpu: CPU, env: EvalEnv, instr, dsts, graph) -> bool | None:
+    """Whether the executed witness lands in some sink of the triple.
+
+    None when the emulator raised: the witness drove it somewhere
+    unmodelled (e.g. a division by a sampled zero), so it is neither a
+    counterexample nor evidence, and counts as an attempt only."""
     try:
         cpu.execute(instr)
     except Exception:
-        # The witness drove the emulator somewhere unmodelled (e.g. a
-        # division by a sampled zero): not a counterexample, skip it by
-        # treating as covered only if some sink exists.
-        return True
+        return None
     # Sinks.
     for dst in dsts:
         if dst[0] == "ret":

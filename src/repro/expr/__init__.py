@@ -16,12 +16,13 @@ from repro.expr.ast import (
     var,
     variables_of,
 )
-from repro.expr.concrete import EvalEnv, EvalError, evaluate
+from repro.expr.concrete import EvalEnv, EvalError, compile_expr, evaluate
 from repro.expr.subst import subst_vars, substitute
 from repro.expr import simplify
 
 __all__ = [
     "App", "Const", "Deref", "Expr", "FlagRef", "MASK64", "RegRef", "Var",
     "const", "is_constant_expr", "mask", "to_signed", "var", "variables_of",
-    "EvalEnv", "EvalError", "evaluate", "subst_vars", "substitute", "simplify",
+    "EvalEnv", "EvalError", "compile_expr", "evaluate", "subst_vars",
+    "substitute", "simplify",
 ]

@@ -49,7 +49,7 @@ class Memory:
     def read(self, addr: int, size: int) -> int:
         value = 0
         for i in range(size):
-            value |= self._read_byte(addr + i) << (8 * i)
+            value |= self._read_byte((addr + i) & MASK64) << (8 * i)
         return value
 
     def _read_byte(self, addr: int) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.expr import EvalEnv, EvalError, evaluate
+from repro.expr import EvalEnv, EvalError, compile_expr
 from repro.perf import register_lru
 from repro.smt.solver import (
     Assumption,
@@ -374,25 +374,52 @@ def relation_in_model(model: MemModel, r0: Region, r1: Region) -> Relation | Non
 
 # -- concrete satisfaction (Definition 3.9) ------------------------------------------
 
-def _region_bytes(region: Region, env: EvalEnv) -> set[int]:
-    addr = evaluate(region.addr, env)
-    return set(range(addr, addr + region.size))
+# A region's concrete span is the half-open byte interval ``(lo, hi)``;
+# ``hi <= lo`` is the empty span.  The checks below are the byte-set
+# definitions (equal sets, subset, disjoint) decided on the bounds, so an
+# empty span equals every other empty span, lies inside every span, and
+# overlaps nothing.  Spans are not wrapped at 2**64, as the byte sets were
+# not.
+
+def _region_span(region: Region, env: EvalEnv) -> tuple[int, int]:
+    addr = compile_expr(region.addr)(env)
+    return addr, addr + region.size
+
+
+def _span_empty(span: tuple[int, int]) -> bool:
+    return span[1] <= span[0]
+
+
+def _spans_equal(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    if _span_empty(a) or _span_empty(b):
+        return _span_empty(a) and _span_empty(b)
+    return a == b
+
+
+def _span_within(inner: tuple[int, int], outer: tuple[int, int]) -> bool:
+    if _span_empty(inner):
+        return True
+    return outer[0] <= inner[0] and inner[1] <= outer[1]
+
+
+def _spans_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    return max(a[0], b[0]) < min(a[1], b[1])
 
 
 def tree_holds(tree: MemTree, env: EvalEnv) -> bool:
     try:
-        spans = [_region_bytes(region, env) for region in tree.regions]
+        spans = [_region_span(region, env) for region in tree.regions]
     except EvalError:
         return False
     first = spans[0]
-    if any(span != first for span in spans[1:]):
+    if any(not _spans_equal(span, first) for span in spans[1:]):
         return False
     for child in tree.children:
         try:
-            child_span = _region_bytes(child.representative(), env)
+            child_span = _region_span(child.representative(), env)
         except EvalError:
             return False
-        if not child_span <= first:
+        if not _span_within(child_span, first):
             return False
         if not tree_holds(child, env):
             return False
@@ -404,12 +431,12 @@ def forest_separate(trees, env: EvalEnv) -> bool:
     spans = []
     for tree in trees:
         try:
-            spans.append(_region_bytes(tree.representative(), env))
+            spans.append(_region_span(tree.representative(), env))
         except EvalError:
             return False
     for i, left in enumerate(spans):
         for right in spans[i + 1:]:
-            if left & right:
+            if _spans_overlap(left, right):
                 return False
     return True
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.expr import Const, EvalEnv, Expr, evaluate, mask, to_signed
+from repro.expr import Const, EvalEnv, Expr, compile_expr, mask, to_signed
 from repro.perf import register_lru
 from repro.smt.intervals import Interval, TOP, from_width
 
@@ -59,17 +59,7 @@ class Clause:
 
     def holds(self, env: EvalEnv) -> bool:
         """Evaluate the clause in a concrete environment (``s ⊢ clause``)."""
-        left = evaluate(self.lhs, env) & mask(self.width)
-        right = evaluate(self.rhs, env) & mask(self.width)
-        sl, sr = to_signed(left, self.width), to_signed(right, self.width)
-        table = {
-            "eq": left == right, "ne": left != right,
-            "ltu": left < right, "leu": left <= right,
-            "gtu": left > right, "geu": left >= right,
-            "lts": sl < sr, "les": sl <= sr,
-            "gts": sl > sr, "ges": sl >= sr,
-        }
-        return table[self.op]
+        return compile_clause(self)(env)
 
     def __str__(self) -> str:
         symbol = {
@@ -77,6 +67,44 @@ class Clause:
             "geu": ">=u", "lts": "<s", "les": "<=s", "gts": ">s", "ges": ">=s",
         }[self.op]
         return f"{self.lhs} {symbol} {self.rhs}"
+
+
+_RELATIONS = {
+    "eq": lambda a, b: a == b, "ne": lambda a, b: a != b,
+    "ltu": lambda a, b: a < b, "leu": lambda a, b: a <= b,
+    "gtu": lambda a, b: a > b, "geu": lambda a, b: a >= b,
+}
+
+#: Signed relations and the unsigned relation they apply to signed values.
+_SIGNED = {"lts": "ltu", "les": "leu", "gts": "gtu", "ges": "geu"}
+
+
+@lru_cache(maxsize=1 << 16)
+def compile_clause(clause: Clause):
+    """A closure ``env -> bool`` checking *clause* (memoized).
+
+    Both sides are evaluated, left first, before comparing."""
+    left_fn, right_fn = compile_expr(clause.lhs), compile_expr(clause.rhs)
+    width, m = clause.width, mask(clause.width)
+    if clause.op in _SIGNED:
+        relation = _RELATIONS[_SIGNED[clause.op]]
+
+        def check_signed(env: EvalEnv) -> bool:
+            left = left_fn(env)
+            return relation(to_signed(left, width),
+                            to_signed(right_fn(env), width))
+
+        return check_signed
+    relation = _RELATIONS[clause.op]
+
+    def check(env: EvalEnv) -> bool:
+        left = left_fn(env) & m
+        return relation(left, right_fn(env) & m)
+
+    return check
+
+
+register_lru("pred.compiled_clause", compile_clause)
 
 
 def clause_interval(clause: Clause, term: Expr) -> Interval | None:

@@ -32,7 +32,7 @@ from repro.expr import (
     Expr,
     RegRef,
     Var,
-    evaluate,
+    compile_expr,
     mask,
     substitute,
 )
@@ -41,7 +41,7 @@ from repro.expr.simplify import add as simplify_add, mul as _mul
 from repro.obs.metrics import metrics as _M
 from repro.obs.tracer import tracer as _T
 from repro.perf import register_lru
-from repro.pred.clause import Clause, intersect_intervals
+from repro.pred.clause import Clause, compile_clause, intersect_intervals
 from repro.pred.flags import FlagState
 from repro.smt.intervals import Interval
 from repro.smt.linear import linearize
@@ -190,27 +190,7 @@ class Predicate:
         ``*[a, n] == C`` valuation clauses (defaults to ``env.read_mem``,
         which is correct before any store has executed).
         """
-        if read_current is None:
-            read_current = env.read_mem
-        try:
-            for reg, value in self.regs:
-                expected = evaluate(value, env)
-                actual = env.registers.get(reg)
-                if actual is None or (actual & mask(value.width)) != expected:
-                    return False
-            for region, value in self.mem:
-                if read_current is None:
-                    return False
-                addr = evaluate(region.addr, env)
-                actual = read_current(addr, region.size)
-                if (actual & mask(value.width)) != evaluate(value, env):
-                    return False
-            for clause in self.clauses:
-                if not clause.holds(env):
-                    return False
-        except EvalError:
-            return False
-        return True
+        return compile_predicate(self)(env, read_current)
 
     def __str__(self) -> str:
         parts = [f"{reg} == {value}" for reg, value in self.regs]
@@ -227,6 +207,50 @@ def _rebuild_predicate(regs, flags, mem, clauses) -> Predicate:
 
 def _clause_sort_key(clause: Clause) -> tuple:
     return (str(clause), clause.width, clause.lhs.width, clause.rhs.width)
+
+
+@lru_cache(maxsize=1 << 12)
+def compile_predicate(pred: Predicate):
+    """A closure ``(env, read_current) -> bool`` deciding ``s ⊢ P`` (memoized).
+
+    Registers, then memory valuations, then relational clauses, each check
+    stopping at the first that fails.  The clauses go in
+    :func:`_clause_sort_key` order, a function of the clause set alone, so a
+    memo hit on an equal predicate checks them in the same order."""
+    regs = tuple((reg, compile_expr(value), mask(value.width))
+                 for reg, value in pred.regs)
+    mem = tuple((compile_expr(region.addr), region.size,
+                 compile_expr(value), mask(value.width))
+                for region, value in pred.mem)
+    clauses = tuple(compile_clause(clause) for clause
+                    in sorted(pred.clauses, key=_clause_sort_key))
+
+    def check(env: EvalEnv, read_current) -> bool:
+        if read_current is None:
+            read_current = env.read_mem
+        try:
+            for reg, value_fn, m in regs:
+                expected = value_fn(env)
+                actual = env.registers.get(reg)
+                if actual is None or (actual & m) != expected:
+                    return False
+            for addr_fn, size, value_fn, m in mem:
+                if read_current is None:
+                    return False
+                actual = read_current(addr_fn(env), size)
+                if (actual & m) != value_fn(env):
+                    return False
+            for clause_fn in clauses:
+                if not clause_fn(env):
+                    return False
+        except EvalError:
+            return False
+        return True
+
+    return check
+
+
+register_lru("pred.compiled", compile_predicate)
 
 
 @lru_cache(maxsize=1 << 16)

@@ -95,6 +95,15 @@ def test_memory_store_load_roundtrip():
     assert run_binary(build(program)).exit_code == 1234 & 0xFF
 
 
+def test_memory_wraps_at_two_to_the_64_on_read_and_write():
+    from repro.machine import Memory
+
+    memory = Memory()
+    memory.write(2**64 - 4, 0x1122334455667788, 8)
+    assert memory.read(2**64 - 4, 8) == 0x1122334455667788
+    assert memory.read(0, 4) == 0x11223344
+
+
 def test_jump_table_dispatch():
     def program(b):
         t = b.text

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.expr import EvalEnv, const, simplify as s, var
+from repro.expr import EvalEnv, EvalError, const, evaluate, simplify as s, var
 from repro.memmodel import (
     EMPTY,
     MemModel,
@@ -20,6 +20,7 @@ from repro.memmodel import (
     join_models,
     model_holds,
     relation_in_model,
+    tree_holds,
 )
 from repro.smt.solver import Region, Relation
 
@@ -324,3 +325,102 @@ def test_prop_same_base_insertions_never_fork(offsets, sizes):
         results = ins(Region(s.add(RSP0, const(offset * 4)), size), model)
         assert len(results) == 1, [str(r.model) for r in results]
         model = results[0].model
+
+
+# -- Definition 3.9 on spans: intervals vs byte sets -----------------------------
+#
+# model_holds decides region equality, enclosure and separation on half-open
+# address intervals.  The reference below is the definition on explicit byte
+# sets; both must agree, including on empty (size-0) regions and on spans
+# that run past 2**64 (which neither wraps).
+
+
+def _bytes_of(region: Region, env) -> set:
+    addr = evaluate(region.addr, env)
+    return set(range(addr, addr + region.size))
+
+
+def _reference_tree_holds(tree: MemTree, env) -> bool:
+    try:
+        spans = [_bytes_of(r, env) for r in tree.regions]
+    except EvalError:
+        return False
+    first = spans[0]
+    if any(span != first for span in spans[1:]):
+        return False
+    for child in tree.children:
+        try:
+            child_span = _bytes_of(child.representative(), env)
+        except EvalError:
+            return False
+        if not child_span <= first or not _reference_tree_holds(child, env):
+            return False
+    return _reference_forest_separate(tree.children, env)
+
+
+def _reference_forest_separate(trees, env) -> bool:
+    try:
+        spans = [_bytes_of(tree.representative(), env) for tree in trees]
+    except EvalError:
+        return False
+    return all(not (left & right) for i, left in enumerate(spans)
+               for right in spans[i + 1:])
+
+
+def _reference_model_holds(model: MemModel, env) -> bool:
+    return _reference_forest_separate(model.trees, env) and all(
+        _reference_tree_holds(tree, env) for tree in model.trees)
+
+
+_TOP = 1 << 64
+_BASES = st.sampled_from([RDI0, RSI0, var("unbound")])
+_REGIONS = st.builds(
+    lambda base, offset, size: region(base, offset, size),
+    _BASES, st.sampled_from([0, 2, 4, 8, -4]), st.integers(0, 12))
+_TREES = st.recursive(
+    st.builds(MemTree, st.frozensets(_REGIONS, min_size=1, max_size=3)),
+    lambda children: st.builds(
+        MemTree, st.frozensets(_REGIONS, min_size=1, max_size=2),
+        st.frozensets(children, max_size=2)),
+    max_leaves=5)
+_ADDRESSES = st.sampled_from(
+    [0, 2, 4, 0x1000, 0x1002, 0x1004, 0x1008, _TOP - 8, _TOP - 4, _TOP - 1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(trees=st.frozensets(_TREES, max_size=3), rdi0=_ADDRESSES,
+       rsi0=_ADDRESSES)
+def test_prop_span_checks_match_byte_sets(trees, rdi0, rsi0):
+    model = MemModel(trees)
+    env = env_with(rdi0=rdi0, rsi0=rsi0)
+    assert model_holds(model, env) == _reference_model_holds(model, env)
+    for tree in trees:
+        assert tree_holds(tree, env) == _reference_tree_holds(tree, env)
+
+
+def test_empty_regions_behave_as_empty_byte_sets():
+    empty_a, empty_b = Region(RDI0, 0), Region(RSI0, 0)
+    full = Region(RSI0, 8)
+    env = env_with(rdi0=0x1004, rsi0=0x1000)
+    # Two empty spans are equal wherever they sit; empty vs full is not.
+    assert tree_holds(MemTree(frozenset({empty_a, empty_b})), env)
+    assert not tree_holds(MemTree(frozenset({empty_a, full})), env)
+    # An empty child lies inside any parent, even one it does not touch.
+    parent = MemTree(frozenset({full}),
+                     frozenset({MemTree.leaf(Region(var("rdx0"), 0))}))
+    assert tree_holds(parent, EvalEnv(variables={"rsi0": 0x1000,
+                                                 "rdx0": 0x9000}))
+    # An empty sibling overlaps nothing, even at the same address.
+    model = MemModel(frozenset({MemTree.leaf(full),
+                                MemTree.leaf(Region(RDI0, 0))}))
+    assert model_holds(model, env)
+
+
+def test_spans_past_two_to_the_64_do_not_wrap():
+    high, low = Region(RDI0, 8), Region(RSI0, 4)
+    model = MemModel(frozenset({MemTree.leaf(high), MemTree.leaf(low)}))
+    env = env_with(rdi0=_TOP - 4, rsi0=0)
+    assert model_holds(model, env) == _reference_model_holds(model, env)
+    assert model_holds(model, env)
+    clash = env_with(rdi0=_TOP - 4, rsi0=_TOP - 2)
+    assert not model_holds(model, clash)
