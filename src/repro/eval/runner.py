@@ -180,9 +180,6 @@ class _LiftTask:
     #: Two-phase lift: feed pointer call-site summaries back into the
     #: call cleaning (the feedback A/B bench sets this on one side).
     pointer_summaries: bool = False
-    #: Transfer engine: ``"tau"`` (the reference tree-walker) or ``"uop"``
-    #: (the compiled micro-op interpreter, :mod:`repro.uop`).
-    engine: str = "tau"
 
 
 def _run_task(
@@ -206,16 +203,14 @@ def _run_task(
                       timeout_seconds=task.timeout_seconds,
                       schedule=task.schedule,
                       cache=use_cache, cache_dir=task.cache_dir,
-                      pointer_summaries=task.pointer_summaries,
-                      engine=task.engine)
+                      pointer_summaries=task.pointer_summaries)
     else:
         result = lift_function(task.binary, task.function,
                                max_states=task.max_states,
                                timeout_seconds=task.timeout_seconds,
                                schedule=task.schedule,
                                cache=use_cache, cache_dir=task.cache_dir,
-                               pointer_summaries=task.pointer_summaries,
-                               engine=task.engine)
+                               pointer_summaries=task.pointer_summaries)
     delta = counters.delta(before, counters.snapshot())
     obs_data = None
     if task.obs:
@@ -255,15 +250,14 @@ def _corpus_tasks(corpus: Corpus, timeout_seconds: float,
                   max_states: int, obs: bool,
                   obs_sampling: int, cache: bool,
                   cache_dir: str | None, schedule: str,
-                  pointer_summaries: bool = False,
-                  engine: str = "tau") -> list[_LiftTask]:
+                  pointer_summaries: bool = False) -> list[_LiftTask]:
     tasks = [
         _LiftTask(name=corpus_binary.name, directory=corpus_binary.directory,
                   kind="binary", binary=corpus_binary.binary, function=None,
                   timeout_seconds=timeout_seconds, max_states=max_states,
                   obs=obs, obs_sampling=obs_sampling,
                   cache=cache, cache_dir=cache_dir, schedule=schedule,
-                  pointer_summaries=pointer_summaries, engine=engine)
+                  pointer_summaries=pointer_summaries)
         for corpus_binary in corpus.binaries
     ]
     for library in corpus.libraries:
@@ -275,7 +269,7 @@ def _corpus_tasks(corpus: Corpus, timeout_seconds: float,
                 timeout_seconds=timeout_seconds, max_states=max_states,
                 obs=obs, obs_sampling=obs_sampling,
                 cache=cache, cache_dir=cache_dir, schedule=schedule,
-                pointer_summaries=pointer_summaries, engine=engine,
+                pointer_summaries=pointer_summaries,
             ))
     return tasks
 
@@ -348,7 +342,6 @@ def run_corpus(
     cache_dir: str | None = None,
     schedule: str = "scc",
     pointer_summaries: bool = False,
-    engine: str = "tau",
     progress=None,
 ) -> CorpusReport:
     """Lift every binary and library function; aggregate per directory.
@@ -371,14 +364,10 @@ def run_corpus(
     resolved here, once, and shipped to workers as an explicit flag, so a
     worker pool never re-reads the parent's environment.
 
-    ``engine`` selects the transfer engine per task (``"tau"`` or
-    ``"uop"``); the two produce byte-identical canonical reports (the
-    engine A/B bench asserts this), so everything downstream of the
-    records is engine-agnostic.  A warm cached
-    run produces a byte-identical :meth:`CorpusReport.canonical_json` to
-    the cold run that populated the store (``seconds`` and ``counters``
-    are already excluded from the canonical form).  Obs tasks bypass the
-    cache (see :class:`_LiftTask`).
+    A warm cached run produces a byte-identical
+    :meth:`CorpusReport.canonical_json` to the cold run that populated
+    the store (``seconds`` and ``counters`` are already excluded from the
+    canonical form).  Obs tasks bypass the cache (see :class:`_LiftTask`).
     """
     if corpus is None:
         corpus = build_corpus(scale)
@@ -387,7 +376,7 @@ def run_corpus(
     use_cache = bool(cache) if cache is not None else ambient_enabled()
     tasks = _corpus_tasks(corpus, timeout_seconds, max_states,
                           obs, obs_sampling, use_cache, cache_dir, schedule,
-                          pointer_summaries, engine)
+                          pointer_summaries)
 
     emitter = as_emitter(progress)
     prior = (_obs_tracer.enabled, _obs_tracer.sampling)

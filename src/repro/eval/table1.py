@@ -56,8 +56,7 @@ def format_table1(report: CorpusReport) -> str:
 
 def generate_table1(scale: int = 1, timeout_seconds: float = 10.0,
                     max_states: int = 10_000,
-                    jobs: int = 1, engine: str = "tau",
-                    ) -> tuple[CorpusReport, str]:
+                    jobs: int = 1) -> tuple[CorpusReport, str]:
     report = run_corpus(scale=scale, timeout_seconds=timeout_seconds,
-                        max_states=max_states, jobs=jobs, engine=engine)
+                        max_states=max_states, jobs=jobs)
     return report, format_table1(report)

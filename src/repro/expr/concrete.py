@@ -214,6 +214,8 @@ def _division(signed: bool, remainder: bool):
             if not signed:
                 return (a % b if remainder else a // b) & m
             left, right = to_signed(a, width), to_signed(b, width)
+            if right == 0:      # a wider divisor with no bits at *width*
+                raise EvalError("division by zero")
             if remainder:
                 result = abs(left) % abs(right)
                 if left < 0:

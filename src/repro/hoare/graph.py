@@ -85,6 +85,13 @@ class HoareGraph:
     edges: set[Edge] = field(default_factory=set)
     instructions: dict[int, Instruction] = field(default_factory=dict)
 
+    def __reduce__(self):
+        # The edge set in sorted order: the pickled bytes (and so
+        # lift-store payloads) do not depend on the hash seed.
+        return (_rebuild_graph, (self.vertices,
+                                 tuple(sorted(self.edges, key=str)),
+                                 self.instructions))
+
     def states_at(self, rip: int) -> list[SymState]:
         return [
             state for key, state in self.vertices.items()
@@ -113,3 +120,7 @@ class HoareGraph:
             for edge in self.edges
             if edge.instr_addr == addr and edge.dst[0] == "code"
         }
+
+
+def _rebuild_graph(vertices, edges, instructions) -> HoareGraph:
+    return HoareGraph(vertices, set(edges), instructions)

@@ -56,7 +56,8 @@ class MemTree:
 
     # The rendering and the representative are cached on the instance:
     # forests are sorted by rendering on every insertion and join.  Both
-    # stay out of pickles (``__reduce__`` passes the two fields only).
+    # stay out of pickles (``__reduce__`` passes the two fields only, each
+    # in sorted order so the bytes do not depend on the hash seed).
 
     def representative(self) -> Region:
         rep = self.__dict__.get("_rep")
@@ -76,7 +77,12 @@ class MemTree:
         return text
 
     def __reduce__(self):
-        return (MemTree, (self.regions, self.children))
+        return (_rebuild_tree, (tuple(sorted(self.regions, key=region_key)),
+                                tuple(_sorted(self.children))))
+
+
+def _rebuild_tree(regions, children) -> MemTree:
+    return MemTree(frozenset(regions), frozenset(children))
 
 
 @dataclass(frozen=True)
@@ -98,6 +104,18 @@ class MemModel:
             destroyed = sorted(map(region_key, self.destroyed))
             body += " ☠{" + ", ".join(destroyed) + "}"
         return "⟦" + body + "⟧"
+
+    def __reduce__(self):
+        # Both sets in sorted order: the pickled bytes (and so lift-store
+        # payloads) do not depend on the hash seed.
+        return (_rebuild_model, (
+            tuple(_sorted(self.trees)),
+            tuple(sorted(self.destroyed, key=region_key)),
+        ))
+
+
+def _rebuild_model(trees, destroyed) -> MemModel:
+    return MemModel(frozenset(trees), frozenset(destroyed))
 
 
 EMPTY = MemModel()

@@ -404,142 +404,6 @@ def run_summaries_bench(scale: int = 3, timeout_seconds: float = 10.0,
     }
 
 
-def run_engine_bench(scale: int = 3, timeout_seconds: float = 10.0,
-                     max_states: int = 10_000, rounds: int = 2,
-                     identity_scale: int | None = None) -> dict:
-    """τ vs the micro-op engine: the ``--engine-ab`` measurement.
-
-    Vocabulary follows the PR-5 store bench: a **cold-path** run is one
-    where lifting actually executes (persistent store disabled) — the
-    regime the uop engine targets — as opposed to the store's warm path,
-    which skips lifting entirely.  Per interleaved round, each engine
-    lifts the corpus twice with obs phase attribution on:
-
-    * the **first** pass starts from fully reset caches (satellite: the
-      uop compile table is in the ``reset_caches`` registry, so no
-      compile-table warmth leaks across engine rounds — asserted below);
-    * the **repeat** pass re-lifts the same corpus in-process, the
-      serve-daemon / CI re-lift regime where the engine's content-
-      addressed layers (compile table, transfer memo, ins memo) pay off.
-
-    The headline ``cold_path_speedup`` is the *transfer-path* throughput
-    ratio on the repeat pass, best paired round: instructions per second
-    of engine self-time — ``transfer`` for τ, ``transfer + uop.compile +
-    uop.exec`` for uop (the two uop phases nest inside ``transfer``).
-    Whole-lift rates for every pass are recorded alongside so the
-    (join-dominated) end-to-end picture stays visible; first-pass ratios
-    are recorded as ``first_visit_speedup``.
-
-    Byte identity is checked on obs-free runs (engines add their own
-    phase names to the obs rollup, so the obs canonical form is engine-
-    specific by design): τ vs uop serial, and uop serial vs a 2-worker
-    pool, all at *identity_scale* (default: *scale*).
-    """
-    from repro.corpus import build_corpus
-    from repro.eval.runner import run_corpus
-    from repro.obs.profile import profile_rollup
-    from repro.uop import compile as uop_compile  # noqa: F401 (registers cache)
-
-    corpus = build_corpus(scale)
-
-    def engine_path_seconds(rollup: dict, engine: str) -> float:
-        phases = rollup["phases"]
-        names = ("transfer",) if engine == "tau" else \
-            ("transfer", "uop.compile", "uop.exec")
-        return sum(phases.get(name, {}).get("self_seconds", 0.0)
-                   for name in names)
-
-    def one_pass(engine: str) -> dict:
-        start = time.perf_counter()
-        report = run_corpus(corpus=corpus, timeout_seconds=timeout_seconds,
-                            max_states=max_states, jobs=1, obs=True,
-                            cache=False, engine=engine)
-        seconds = time.perf_counter() - start
-        lift_wall = sum(record.seconds for record in report.records)
-        rollup = profile_rollup(report.obs, wall_seconds=lift_wall)
-        instructions = _instruction_totals(report)
-        path_seconds = engine_path_seconds(rollup, engine)
-        return {
-            "lift_seconds": round(seconds, 3),
-            "instructions": instructions,
-            "functions": len(report.records),
-            "instrs_per_second": round(instructions / seconds, 1)
-            if seconds else 0.0,
-            "transfer_path_seconds": round(path_seconds, 3),
-            "transfer_path_instrs_per_second":
-                round(instructions / path_seconds, 1) if path_seconds else 0.0,
-            "coverage": rollup.get("coverage", 0.0),
-        }
-
-    round_results = []
-    compile_cold_each_round = True
-    for _ in range(rounds):
-        sides = {}
-        for engine in ("tau", "uop"):
-            reset_caches()
-            counters.reset()
-            first = one_pass(engine)
-            repeat = one_pass(engine)
-            side = {"first": first, "repeat": repeat}
-            if engine == "uop":
-                stats = cache_stats()
-                side["caches"] = {name: stats[name] for name in
-                                  ("uop.compile", "uop.step", "uop.ins")
-                                  if name in stats}
-                # reset_caches cleared the compile table at round start:
-                # the first pass must have compiled (missed) its forms.
-                compile_cold_each_round &= (
-                    side["caches"]["uop.compile"]["misses"] > 0)
-            sides[engine] = side
-        round_results.append(sides)
-
-    def ratio(pass_name: str, metric: str) -> tuple[float, list[float]]:
-        ratios = []
-        for sides in round_results:
-            tau_rate = sides["tau"][pass_name][metric]
-            uop_rate = sides["uop"][pass_name][metric]
-            if tau_rate:
-                ratios.append(round(uop_rate / tau_rate, 2))
-        return (max(ratios) if ratios else 0.0), ratios
-
-    cold_path_speedup, cold_path_rounds = ratio(
-        "repeat", "transfer_path_instrs_per_second")
-    first_visit_speedup, first_visit_rounds = ratio(
-        "first", "transfer_path_instrs_per_second")
-    whole_lift_speedup, _ = ratio("repeat", "instrs_per_second")
-
-    identity_scale = scale if identity_scale is None else identity_scale
-    identity_corpus = (corpus if identity_scale == scale
-                       else build_corpus(identity_scale))
-
-    def identity_run(engine: str, jobs: int) -> str:
-        reset_caches()
-        report = run_corpus(corpus=identity_corpus,
-                            timeout_seconds=timeout_seconds,
-                            max_states=max_states, jobs=jobs,
-                            cache=False, engine=engine)
-        return report.canonical_json()
-
-    tau_canonical = identity_run("tau", 1)
-    uop_canonical = identity_run("uop", 1)
-    uop_jobs2_canonical = identity_run("uop", 2)
-
-    return {
-        "scale": scale,
-        "rounds": rounds,
-        "sides": round_results,
-        "cold_path_speedup": cold_path_speedup,
-        "cold_path_round_ratios": cold_path_rounds,
-        "first_visit_speedup": first_visit_speedup,
-        "first_visit_round_ratios": first_visit_rounds,
-        "whole_lift_repeat_speedup": whole_lift_speedup,
-        "compile_cold_each_round": compile_cold_each_round,
-        "identity_scale": identity_scale,
-        "reports_identical": tau_canonical == uop_canonical,
-        "reports_identical_jobs2": uop_canonical == uop_jobs2_canonical,
-    }
-
-
 def run_serve_bench(scale: int = 1, workers: int = 2,
                     timeout_seconds: float = 10.0,
                     max_states: int = 10_000) -> dict:
@@ -712,8 +576,6 @@ def bench_report(scale: int = 3, jobs: int = 1,
                  check_summaries: bool = False,
                  check_profile: bool = False,
                  check_serve: bool = False,
-                 check_engine: bool = False,
-                 engine_rounds: int = 2,
                  serve_workers: int = 2,
                  history_dir: str | Path | None = None,
                  out_path: str | Path | None = None) -> tuple[dict, str]:
@@ -727,9 +589,7 @@ def bench_report(scale: int = 3, jobs: int = 1,
     (``run_schedule_bench``, scale 1); ``check_summaries`` adds the
     pointer-summaries feedback A/B (``run_summaries_bench``, same scale);
     ``check_profile`` adds the phase cost profile (``run_profile_bench``,
-    same scale) with its wall-attribution coverage; ``check_engine`` adds
-    the τ-vs-uop engine A/B (``run_engine_bench``, same scale,
-    *engine_rounds* interleaved rounds).
+    same scale) with its wall-attribution coverage.
 
     *history_dir* appends the run to the persistent history there
     (default None: benches never write history implicitly — the CLI opts
@@ -776,10 +636,6 @@ def bench_report(scale: int = 3, jobs: int = 1,
         payload["serve"] = run_serve_bench(
             scale=scale, workers=serve_workers,
             timeout_seconds=timeout_seconds, max_states=max_states)
-    if check_engine:
-        payload["engine"] = run_engine_bench(
-            scale=scale, timeout_seconds=timeout_seconds,
-            max_states=max_states, rounds=engine_rounds)
     if history_dir is not None:
         payload["history_record"] = record_history(current, history_dir)
         serve = payload.get("serve")
@@ -797,23 +653,6 @@ def bench_report(scale: int = 3, jobs: int = 1,
                  "instrs_per_second": serve["serve_instrs_per_second"],
                  "counters": {}},
                 history_dir, kind="serve")
-        engine = payload.get("engine")
-        if engine is not None:
-            # kind="engine": the uop engine's repeat-pass (in-memory-warm
-            # cold-path lift) throughput from the last round, so the
-            # history gate tracks the micro-op engine separately.
-            uop_repeat = engine["sides"][-1]["uop"]["repeat"]
-            payload["engine_history_record"] = record_history(
-                {"scale": engine["scale"], "jobs": 1,
-                 "timeout_seconds": timeout_seconds,
-                 "max_states": max_states,
-                 "instructions": uop_repeat["instructions"],
-                 "functions": uop_repeat["functions"],
-                 "lift_seconds": uop_repeat["lift_seconds"],
-                 "build_seconds": 0.0,
-                 "instrs_per_second": uop_repeat["instrs_per_second"],
-                 "counters": {}},
-                history_dir, kind="engine")
 
     lines = [
         f"Bench: scale-{scale} corpus, jobs={jobs}",
@@ -907,29 +746,6 @@ def bench_report(scale: int = 3, jobs: int = 1,
             + ("OK" if serve["reports_identical"] else "MISMATCH")
             + f"; dedup source {serve['dedup_source']}"
         )
-    engine = payload.get("engine")
-    if engine is not None:
-        last = engine["sides"][-1]
-        tau_path = last["tau"]["repeat"]["transfer_path_instrs_per_second"]
-        uop_path = last["uop"]["repeat"]["transfer_path_instrs_per_second"]
-        compile_stats = last["uop"]["caches"]["uop.compile"]
-        lines.append(
-            f"  engine A/B (scale-{engine['scale']}, {engine['rounds']} "
-            f"rounds): transfer-path tau {tau_path:.1f} instrs/s, uop "
-            f"{uop_path:.1f} instrs/s -> cold-path "
-            f"{engine['cold_path_speedup']:.2f}x repeat-lift "
-            f"({engine['first_visit_speedup']:.2f}x first-visit); "
-            f"compile table {compile_stats['hits']} hits / "
-            f"{compile_stats['misses']} compiles"
-            + (", cold each round" if engine["compile_cold_each_round"]
-               else ", WARMTH LEAKED ACROSS ROUNDS")
-        )
-        lines.append(
-            "  engine reports: tau == uop (canonical): "
-            + ("OK" if engine["reports_identical"] else "MISMATCH")
-            + ", uop serial == jobs=2: "
-            + ("OK" if engine["reports_identical_jobs2"] else "MISMATCH")
-        )
     record = payload.get("history_record")
     if record is not None:
         lines.append(f"  history: recorded {record['id']} ({record['key']})")
@@ -937,10 +753,6 @@ def bench_report(scale: int = 3, jobs: int = 1,
     if serve_record is not None:
         lines.append(f"  history: recorded {serve_record['id']} "
                      f"({serve_record['key']})")
-    engine_record = payload.get("engine_history_record")
-    if engine_record is not None:
-        lines.append(f"  history: recorded {engine_record['id']} "
-                     f"({engine_record['key']})")
     text = "\n".join(lines)
 
     if out_path is not None:

@@ -624,17 +624,9 @@ def _bind_unknowns(state, cpu: CPU, bindings: dict[str, int]) -> None:
     _satisfy_clauses(state, bindings)
 
 
-def run_form(form: Form, seed: int = 2022,
-             engine: str = "tau") -> str | None:
+def run_form(form: Form, seed: int = 2022) -> str | None:
     """Run one form in τ/CPU lockstep; None on success, else a description
-    naming the exact instruction that broke the simulation relation.
-
-    *engine* selects the symbolic transfer function (``"tau"`` or
-    ``"uop"``), so every form checks τ-vs-uop-vs-concrete with the same
-    simulation relation."""
-    from repro.hoare.lifter import _step_fn
-
-    step_fn = step if engine == "tau" else _step_fn(engine)
+    naming the exact instruction that broke the simulation relation."""
     rng = random.Random(f"{seed}:{form.name}")
     body, regs = form.build(rng)
     cc = body[1] if isinstance(body, tuple) else None
@@ -671,7 +663,7 @@ def run_form(form: Form, seed: int = 2022,
             return (f"{form.name}: emulator error on {instr}: {exc}"
                     if "division" not in str(exc) else None)
         successors = [succ for state in states
-                      for succ in step_fn(state, instr, ctx)]
+                      for succ in step(state, instr, ctx)]
         if cpu.halted:
             # Return to the sentinel or an explicit terminal: τ must have
             # produced the matching event (RetEvent / TerminalEvent).
@@ -700,20 +692,19 @@ def run_form(form: Form, seed: int = 2022,
     return None
 
 
-def run_battery(seed: int = 2022, names: list[str] | None = None,
-                engine: str = "tau") -> list[str]:
+def run_battery(seed: int = 2022,
+                names: list[str] | None = None) -> list[str]:
     """Run every form (or the named subset); returns sorted failure strings.
 
     An empty list is the healthy outcome — the campaign driver compares
     this against a fault-free baseline, so any τ/emulator fault that makes
     forms diverge shows up as a non-empty, deterministic failure list.
-    *engine* runs the whole sweep through the selected transfer engine.
     """
     failures = []
     selected = forms() if names is None else \
         [form for form in forms() if form.name in set(names)]
     for form in selected:
-        outcome = run_form(form, seed, engine=engine)
+        outcome = run_form(form, seed)
         if outcome is not None:
             failures.append(outcome)
     return sorted(failures)

@@ -96,29 +96,13 @@ def inject(name: str) -> Iterator[Fault]:
     Clears every registered cache on entry (so the fault is actually
     exercised, not papered over by memoized fault-free verdicts) and on
     exit (so faulted verdicts never leak out of the block).
-
-    A ``tau``-layer fault additionally deoptimizes the micro-op engine:
-    its compiled blocks *re-derive* τ's semantics rather than call into
-    it, so they would keep executing the unpatched semantics — stale
-    code, exactly like a JIT running machine code after the interpreter
-    was hot-patched.  While such a fault is installed, ``uop_step``
-    falls back to ``tau.step`` wholesale, so both engines exercise (and
-    both detect) the injected bug.
     """
     fault = FAULTS[name]
     reset_caches()
     uninstall = fault.install()
-    deopted = False
-    if fault.layer == "tau":
-        from repro.uop import interp as _uop_interp
-
-        _uop_interp.DEOPT_TO_TAU = True
-        deopted = True
     try:
         yield fault
     finally:
-        if deopted:
-            _uop_interp.DEOPT_TO_TAU = False
         uninstall()
         reset_caches()
 

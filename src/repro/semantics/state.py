@@ -18,21 +18,10 @@ from repro.smt.solver import Region
 
 
 class NameGen:
-    """Deterministic fresh-name source for havoc variables.
-
-    The counter is a plain int so callers can observe how many names a
-    computation consumed (:attr:`issued`): the uop engine memoizes a
-    transfer result only when it provably consumed no fresh names, which
-    it detects by comparing ``issued`` before and after execution.
-    """
+    """Deterministic fresh-name source for havoc variables."""
 
     def __init__(self) -> None:
         self._counter = 0
-
-    @property
-    def issued(self) -> int:
-        """Number of fresh names handed out so far."""
-        return self._counter
 
     def fresh(self, prefix: str, width: int = 64) -> Var:
         count = self._counter

@@ -112,10 +112,6 @@ def _client_parser() -> argparse.ArgumentParser:
     submit_chaos.add_argument("action")
     submit_chaos.add_argument("--seconds", type=float, default=None)
     submit_chaos.add_argument("--attempts", type=int, default=None)
-    for submit in (submit_lift, submit_corpus):
-        submit.add_argument("--engine", choices=["tau", "uop"], default=None,
-                            help="transfer engine the workers lift with "
-                                 "(default: the server's default, tau)")
     for submit in (submit_lift, submit_corpus, submit_chaos):
         submit.add_argument("--priority", type=int, default=0)
         submit.add_argument("--no-cache", action="store_false",
@@ -147,8 +143,6 @@ def _build_spec(args) -> dict:
         spec["priority"] = args.priority
     if args.use_cache is not None:
         spec["cache"] = args.use_cache
-    if getattr(args, "engine", None) is not None:
-        spec["options"] = {"engine": args.engine}
     return spec
 
 

@@ -93,12 +93,7 @@ _OPTION_FIELDS: dict[str, tuple] = {
     "timeout_seconds": (int, float),
     "schedule": (str,),
     "pointer_summaries": (bool,),
-    "engine": (str,),
 }
-
-#: Transfer engines a job may request (mirrors repro.hoare.lifter.ENGINES,
-#: restated here because the protocol module must stay stdlib-only).
-ENGINE_NAMES = ("tau", "uop")
 
 #: job kind -> {field: (required, allowed types)}.
 _JOB_FIELDS: dict[str, dict[str, tuple[bool, tuple]]] = {
@@ -190,9 +185,6 @@ def validate_job_spec(spec: Any) -> None:
         raise ProtocolError("bad-job", "corpus scale must be >= 1")
     options = spec.get("options", {})
     _check_fields(options, {}, _OPTION_FIELDS, "job options", "bad-job")
-    engine = options.get("engine")
-    if engine is not None and engine not in ENGINE_NAMES:
-        raise ProtocolError("bad-job", f"unknown engine: {engine!r}")
 
 
 def validate_request(obj: Any) -> None:

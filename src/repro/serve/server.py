@@ -607,7 +607,6 @@ class Server:
                                  self.config.default_max_states)
         schedule = options.get("schedule", self.config.schedule)
         pointer_summaries = options.get("pointer_summaries", False)
-        engine = options.get("engine", "tau")
         use_cache = spec.get("cache", self._use_cache) and self._use_cache
         if kind == "lift":
             from repro.elf import load_binary
@@ -624,17 +623,13 @@ class Server:
                 kind="binary", binary=binary, function=None,
                 timeout_seconds=timeout_seconds, max_states=max_states,
                 cache=use_cache, cache_dir=self.config.cache_dir,
-                schedule=schedule, pointer_summaries=pointer_summaries,
-                engine=engine)
+                schedule=schedule, pointer_summaries=pointer_summaries)
             key = None
             if self._store is not None:
-                # lift_key folds the engine, so tau and uop results never
-                # alias in the store or the in-flight dedup table.
                 key = lift_key(binary, max_states=max_states,
                                timeout_seconds=timeout_seconds,
                                schedule=schedule,
-                               pointer_summaries=pointer_summaries,
-                               engine=engine)
+                               pointer_summaries=pointer_summaries)
             return [{"type": "task", "task": task, **budgets}], key
         # corpus
         from repro.corpus import build_corpus
@@ -643,7 +638,7 @@ class Server:
         corpus = build_corpus(spec["scale"])
         tasks = corpus_tasks(corpus, timeout_seconds, max_states,
                              False, 1, use_cache, self.config.cache_dir,
-                             schedule, pointer_summaries, engine)
+                             schedule, pointer_summaries)
         return [{"type": "task", "task": task, **budgets}
                 for task in tasks], None
 

@@ -327,6 +327,8 @@ def _reference_app(expr, env):
         if vals[1] == 0:
             raise EvalError("division by zero")
         left, right = to_signed(vals[0], width), to_signed(vals[1], width)
+        if right == 0:
+            raise EvalError("division by zero")
         quotient = abs(left) // abs(right)
         if (left < 0) != (right < 0):
             quotient = -quotient
@@ -335,6 +337,8 @@ def _reference_app(expr, env):
         if vals[1] == 0:
             raise EvalError("division by zero")
         left, right = to_signed(vals[0], width), to_signed(vals[1], width)
+        if right == 0:
+            raise EvalError("division by zero")
         remainder = abs(left) % abs(right)
         if left < 0:
             remainder = -remainder
@@ -512,6 +516,7 @@ def test_compiled_error_cases_match_tree_walk():
         (FlagRef("zf"), {}),                             # unbound flag
         (s.udiv(X, Y), {"x": 1, "y": 0}),                # division by zero
         (App("srem", (X, Y), 64), {"x": 1, "y": 0}),
+        (App("sdiv", (X, Const(2, 8)), 1), {"x": 1}),   # zero at width 1
         (unknown, {"x": 1, "y": 2}),                     # unknown operator
         (App("add", (Deref(X, 8), Z), 64), {"x": 1}),     # read, then unbound
     ]

@@ -57,6 +57,16 @@ def test_roundtrip_hit_reproduces_the_cold_result(store):
     assert sorted(warm.instructions) == sorted(cold.instructions)
     assert warm.stats.instructions == cold.stats.instructions
     assert warm.stats.states == cold.stats.states
+    # Sets pickle as sorted tuples and come back as sets.
+    assert isinstance(warm.graph.edges, set)
+    assert warm.graph.edges == cold.graph.edges
+    assert isinstance(warm.assumptions, set)
+    for key, state in cold.graph.vertices.items():
+        model = warm.graph.vertices[key].model
+        assert model == state.model
+        assert isinstance(model.trees, frozenset)
+        assert all(isinstance(tree.regions, frozenset)
+                   for tree in model.trees)
 
 
 def test_warm_corpus_report_is_byte_identical(tmp_path):
@@ -208,6 +218,30 @@ def test_rebuilds_a_lost_index(store):
     counters.reset()
     lift(binary, cache=store)
     assert counters.cache_lift_hits == 1
+
+
+# -- only deterministic verdicts are stored ----------------------------------
+
+def test_cpu_budget_rejection_is_not_stored(store):
+    binary = build_target("loop")
+    counters.reset()
+    first = lift(binary, cache=store, timeout_seconds=1e-9)
+    assert first.cpu_budget_exhausted and not first.verified
+    assert store.stats()["entries"] == 0
+    again = lift(binary, cache=store, timeout_seconds=1e-9)
+    assert again.cpu_budget_exhausted
+    assert counters.cache_lift_misses == 2
+    assert counters.cache_lift_hits == 0
+    assert counters.cache_lift_stores == 0
+
+    # The max_states fuel is deterministic: its rejection is stored and hit.
+    fuel = lift(binary, cache=store, max_states=1)
+    assert [error.kind for error in fuel.errors] == ["timeout"]
+    assert not fuel.cpu_budget_exhausted
+    assert store.stats()["entries"] == 1
+    hit = lift(binary, cache=store, max_states=1)
+    assert counters.cache_lift_hits == 1
+    assert hit.errors == fuel.errors
 
 
 # -- resolution -------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Step-2 triple replay: the witness plan, skipped emulator traps, faults
-caught with warm memos, and reports that do not depend on the hash seed."""
+caught with warm memos, and reports (and the lift results they replay)
+that do not depend on the hash seed."""
 
 from __future__ import annotations
 
@@ -107,23 +108,51 @@ def test_jcc_fault_fails_triples_after_the_memos_are_warm():
 # -- the same reports under every hash seed -----------------------------------
 
 _REPORTER = """
-import json
+import hashlib, json, pickle
+from repro.corpus import templates as T
 from repro.export.checker import check_triples
 from repro.hoare import lift
+from repro.minicc import compile_source
 from repro.qa.targets import build_target
 
-out = {}
-for name in ("guard", "loop", "stack"):
-    result = lift(build_target(name))
+subjects = {name: build_target(name)
+            for name in ("guard", "loop", "stack", "branch")}
+subjects["localbuf"] = compile_source(
+    T.make_local_buffer("s") + "long main(long n) { return localbuf_s(n); }",
+    name="localbuf")
+subjects["fsm"] = compile_source(
+    T.make_state_machine("s") + "long main(long n) { return fsm_s(n, 2); }",
+    name="fsm")
+out = {"payloads": {}, "replays": {}}
+for name, binary in subjects.items():
+    result = lift(binary, cache=False)
+    result.stats.seconds = 0.0
+    # The bytes a lift-store entry would hold.
+    blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+    out["payloads"][name] = hashlib.sha256(blob).hexdigest()
+    if name not in ("guard", "loop", "stack"):
+        continue
     graph = result.graph
     report = check_triples(result)
-    out[name] = {
+    out["replays"][name] = {
         "vertices": sorted(f"{key} {state}" for key, state
                            in graph.vertices.items()),
         "edges": sorted(str(edge) for edge in graph.edges),
         "checks": [[str(c.src), c.instr_addr, c.status, c.witnesses, c.detail]
                    for c in report.checks],
     }
+# No corpus lift builds a tree with several regions or children; this
+# model does, so the order a tree pickles its sets in is checked too.
+from repro.expr import Var
+from repro.memmodel.model import MemModel, MemTree
+from repro.smt.solver import Region
+
+regions = [Region(Var(f"p{i}"), 8) for i in range(6)]
+tree = MemTree(frozenset(regions[:3]),
+               frozenset(MemTree.leaf(region) for region in regions[3:]))
+model = MemModel(frozenset({tree}), frozenset(regions[3:]))
+blob = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
+out["payloads"]["tree"] = hashlib.sha256(blob).hexdigest()
 print(json.dumps(out))
 """
 
@@ -138,7 +167,10 @@ def _report_under_seed(seed: int) -> dict:
 
 
 def test_reports_and_graphs_do_not_depend_on_the_hash_seed():
+    # Replay reports, graphs and lift-result pickle bytes alike.
     first, *others = (_report_under_seed(seed) for seed in (1, 2, 3))
-    assert all(len(first[name]["checks"]) > 10 for name in first)
+    replays = first["replays"]
+    assert all(len(replays[name]["checks"]) > 10 for name in replays)
+    assert len(first["payloads"]) == 7
     for other in others:
         assert other == first
