@@ -5,7 +5,9 @@ with the compatible vertex already in the graph (if any); if the join adds
 nothing (``σ ⊑ σc``), exploration of that state stops — this is the
 fixed-point/termination argument of the paper.  Otherwise the joined state
 is stepped through τ, new edges are added, and successors go back in the
-bag.
+bag.  Ascending interval hulls are cut off by widening: after 64 changing
+joins at a vertex, or at once in a loop whose ascent probe
+(:mod:`repro.hoare.ascent`) shows that no guard caps it.
 
 Sanity properties are checked on the fly:
 
@@ -26,6 +28,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
+from repro import obs as _obs
 from repro.elf import Binary
 from repro.obs.metrics import metrics as _M
 from repro.obs.profile import phase as _phase
@@ -35,6 +38,7 @@ from repro.isa import DecodeError, Instruction
 from repro.isa.registers import CALLEE_SAVED
 from repro.elf.image import FetchError
 from repro.pred import Predicate
+from repro.pred.predicate import widen_predicate
 from repro.semantics import (
     CallEvent,
     LiftContext,
@@ -49,6 +53,7 @@ from repro.semantics import (
 from repro.semantics.state import states_equal
 from repro.smt.solver import Assumption, Region
 from repro.hoare.annotations import Annotation, Obligation, VerificationError
+from repro.hoare.ascent import extrapolate, grown_hulls, steps_on
 from repro.hoare.calls import (
     after_call_state,
     call_obligation,
@@ -149,6 +154,48 @@ def _rebuild_result(fields: dict) -> LiftResult:
     return LiftResult(**{**fields, "assumptions": set(fields["assumptions"])})
 
 
+@dataclass
+class _Probe:
+    """An ascent probe in flight (see :mod:`repro.hoare.ascent`)."""
+
+    key: VertexKey
+    rip: int
+    #: The SCC rank of the head: a pop outside it ends the probe.
+    rank: int
+    #: The plain result of the triggering join, resumed on rollback.
+    joined: SymState
+    #: Extrapolated hull bounds by join-variable name.
+    bounds: dict[str, tuple[int, int]]
+    #: Each grown hull's (down, up) stride at the trigger.
+    strides: dict[Var, tuple[int, int]]
+    #: The lifter fields of :data:`_PROBE_RESTORED` at the trigger.
+    saved: dict
+    #: The held observability records (:func:`repro.obs.hold`).
+    held: object
+
+
+#: The probe verdict that commits: a hull stepped on past its
+#: extrapolation, so no guard caps the ascent.
+UNCAPPED = "uncapped"
+
+#: Every ``_Lifter`` field a rolled-back probe puts back.  ``ctx`` stands
+#: for its fresh-name counter, the only part of it that changes.
+_PROBE_RESTORED = (
+    "graph", "bag", "join_counts", "pending_returns", "returned",
+    "queued_functions", "annotated", "annotations", "obligations",
+    "assumptions", "errors", "resolved", "unresolved_jump_addrs",
+    "unresolved_call_addrs", "explored", "ctx", "ascended",
+)
+#: The fields a probe leaves alone: configuration, the heap tie-break
+#: counter (only the relative order of its values matters, and that
+#: survives a rollback), and the probe bookkeeping itself.
+_PROBE_PERSISTS = (
+    "binary", "entry", "summaries", "text_range", "max_states",
+    "max_targets", "timeout_seconds", "deadline", "schedule", "_tiebreak",
+    "widen_after", "probed", "probe",
+)
+
+
 class _Lifter:
     def __init__(self, binary: Binary, entry: int, trust_data: bool,
                  max_states: int, max_targets: int,
@@ -186,6 +233,12 @@ class _Lifter:
         self._tiebreak = itertools.count()
         self.join_counts: dict[VertexKey, int] = {}
         self.widen_after = 64
+        #: SCC ranks whose ascent probe committed: every changing join
+        #: there widens.
+        self.ascended: set[int] = set()
+        #: Loop-head vertices already probed (each is probed once).
+        self.probed: set[VertexKey] = set()
+        self.probe: _Probe | None = None
         self.pending_returns: dict[int, list[SymState]] = {}
         self.returned: set[int] = set()
         self.queued_functions: set[int] = set()
@@ -263,11 +316,132 @@ class _Lifter:
     def run(self) -> None:
         self.queued_functions.add(self.entry)
         self.enqueue(callee_initial_state(self.entry))
-        while self.bag and not self.errors:
+        while True:
+            if self.probe is not None and (self.errors or not self.bag):
+                self.end_probe("rejected" if self.errors else "bag-empty")
+                continue
+            if not self.bag or self.errors:
+                break
             state = heapq.heappop(self.bag)[-1]
+            if self.probe is not None:
+                verdict = self.probe_verdict(state)
+                if verdict is not None:
+                    self.end_probe(verdict)
+                    if verdict != UNCAPPED:
+                        continue  # the popped state was speculative
             self.explore(state)
         if self.bag and self.errors:
             self.bag.clear()
+
+    # -- ascent probes ------------------------------------------------------------
+
+    def may_probe(self, key: VertexKey, rip: int, count: int) -> bool:
+        """True iff this changing join at *key* may start an ascent probe:
+        from the head's 2nd changing join on, once per head, one probe at
+        a time."""
+        return (count >= 2 and self.probe is None
+                and self.schedule is not None
+                and rip in self.schedule.loop_heads
+                and key not in self.probed)
+
+    def start_probe(self, key: VertexKey, rip: int, current: SymState,
+                    joined: SymState) -> SymState:
+        """Start a probe if the join only grew hulls; returns the state to
+        store at the head (the extrapolated one while probing)."""
+        grown = grown_hulls(current, joined, rip)
+        if not grown:
+            return joined
+        self.probed.add(key)
+        probe_state, bounds = extrapolate(
+            joined, grown, self.widen_after - self.join_counts[key])
+        self.probe = _Probe(
+            key=key, rip=rip, rank=self.schedule.priority(rip)[0],
+            joined=joined, bounds=bounds,
+            strides={var: growth.stride for var, growth in grown.items()},
+            saved=self.save(),
+            held=_obs.hold())
+        return probe_state
+
+    def probe_verdict(self, state: SymState) -> str | None:
+        """Decide the probe on a popped state: :data:`UNCAPPED` when the
+        head receives a state that still grows a hull past the
+        extrapolation by at most its stride (no guard caps a linear
+        ascent), the reason to roll back when the probe must end
+        otherwise, None while the trip is still under way inside the
+        head's SCC."""
+        probe = self.probe
+        rip = state.rip
+        if self.schedule.priority(rip)[0] != probe.rank:
+            return "left-scc"
+        if rip != probe.rip:
+            return None
+        key = code_key(state, self.text_range)
+        if key != probe.key:
+            return "other-vertex"
+        current = self.graph.vertices[key]
+        with _phase("join"):
+            joined = join_states(state, current, rip)
+        grown = grown_hulls(current, joined, rip)
+        if not grown:
+            return "capped"
+        return UNCAPPED if steps_on(grown, probe.strides) else "nonlinear"
+
+    def end_probe(self, verdict: str) -> None:
+        """Commit the probe on :data:`UNCAPPED` (its SCC widens from now
+        on); otherwise roll it back and resume the triggering join with
+        its plain result, as if the probe had never run."""
+        probe, self.probe = self.probe, None
+        committed = verdict == UNCAPPED
+        _obs.release(probe.held, keep=committed)
+        if committed:
+            self.ascended.add(probe.rank)
+        else:
+            self.restore(probe.saved)
+        if _T.enabled:
+            _T.addr = probe.rip
+            _T.emit("join.probe", probe.rip,
+                    outcome="committed" if committed else "rolled-back",
+                    verdict=verdict,
+                    bounds=" ".join(
+                        f"{name}=[{lo:#x}, {hi:#x}]"
+                        for name, (lo, hi) in sorted(probe.bounds.items())))
+        if not committed:
+            self.graph.vertices[probe.key] = probe.joined
+            self.advance(probe.joined, probe.key, probe.rip)
+
+    def save(self) -> dict:
+        """Copies of every field in :data:`_PROBE_RESTORED`."""
+        graph = self.graph
+        return {
+            "graph": (dict(graph.vertices), set(graph.edges),
+                      dict(graph.instructions)),
+            "bag": list(self.bag),
+            "join_counts": dict(self.join_counts),
+            "pending_returns": {callee: list(parked) for callee, parked
+                                in self.pending_returns.items()},
+            "returned": set(self.returned),
+            "queued_functions": set(self.queued_functions),
+            "annotated": set(self.annotated),
+            "annotations": list(self.annotations),
+            "obligations": list(self.obligations),
+            "assumptions": set(self.assumptions),
+            "errors": list(self.errors),
+            "resolved": set(self.resolved),
+            "unresolved_jump_addrs": set(self.unresolved_jump_addrs),
+            "unresolved_call_addrs": set(self.unresolved_call_addrs),
+            "explored": self.explored,
+            "ctx": self.ctx.names._counter,
+            "ascended": set(self.ascended),
+        }
+
+    def restore(self, saved: dict) -> None:
+        """Put back the fields :meth:`save` copied."""
+        vertices, edges, instructions = saved["graph"]
+        self.graph = HoareGraph(vertices, edges, instructions)
+        self.ctx.names._counter = saved["ctx"]
+        for name in _PROBE_RESTORED:
+            if name not in ("graph", "ctx"):
+                setattr(self, name, saved[name])
 
     def explore(self, state: SymState) -> None:
         rip = state.rip
@@ -285,25 +459,37 @@ class _Lifter:
                 joined = join_states(state, current, rip)
                 if states_equal(joined, current):
                     return
-                self.join_counts[key] = self.join_counts.get(key, 0) + 1
+                count = self.join_counts.get(key, 0) + 1
+                self.join_counts[key] = count
                 _gated("lift_joins")
                 if _T.enabled:
-                    _T.emit_sampled("join", rip, count=self.join_counts[key])
-                    _M.observe("join.depth", self.join_counts[key])
-                if self.join_counts[key] > self.widen_after:
-                    # Interval hulls may ascend forever (unbounded
-                    # counters); jump to the top of the range-abstraction
-                    # ladder.
-                    from repro.pred.predicate import widen_predicate
-
+                    _T.emit_sampled("join", rip, count=count)
+                    _M.observe("join.depth", count)
+                # Interval hulls may ascend forever (unbounded counters);
+                # jump to the top of the range-abstraction ladder after
+                # widen_after joins, or at once in a loop whose ascent
+                # probe showed that no guard caps it.
+                if count > self.widen_after:
+                    reason = "limit"
+                elif self.ascended and self.schedule.priority(rip)[0] \
+                        in self.ascended:
+                    reason = "ascent"
+                else:
+                    reason = None
+                if reason is not None:
                     joined = joined.with_pred(widen_predicate(joined.pred))
                     if _T.enabled:
-                        _T.emit("join.widen", rip, count=self.join_counts[key])
-                self.graph.vertices[key] = joined
-                state = joined
+                        _T.emit("join.widen", rip, count=count, reason=reason)
+            if reason is None and self.may_probe(key, rip, count):
+                joined = self.start_probe(key, rip, current, joined)
+            self.graph.vertices[key] = joined
+            state = joined
         else:
             self.graph.vertices[key] = state
+        self.advance(state, key, rip)
 
+    def advance(self, state: SymState, key: VertexKey, rip: int) -> None:
+        """Step the state just stored at *key* through τ."""
         self.explored += 1
         if self.explored > self.max_states:
             self.reject("timeout", rip, "state exploration budget exhausted")

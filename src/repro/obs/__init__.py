@@ -108,14 +108,37 @@ def reset() -> None:
     phases.reset()
 
 
+def hold() -> tuple | None:
+    """Start recording speculative work: events are held back and the
+    deterministic counts can be put back.  None while the layer is off."""
+    if not tracer.enabled:
+        return None
+    return tracer.hold(), metrics.checkpoint(), phases.counts()
+
+
+def release(token: tuple | None, keep: bool) -> None:
+    """End a :func:`hold`.  *keep* records the held events as if nothing
+    had been held; otherwise the events are dropped, and event counts,
+    metrics and phase counts go back to what they were at the hold."""
+    if token is None:
+        return
+    counts, metric_state, phase_counts = token
+    tracer.release(counts, keep)
+    if not keep:
+        metrics.restore(metric_state)
+        phases.restore_counts(phase_counts)
+
+
 def save_state() -> tuple:
-    """Capture (enabled, sampling) so a scoped user can restore it."""
-    return (tracer.enabled, tracer.sampling)
+    """Capture (enabled, sampling, capacity) so a scoped user can restore
+    it: a ``--capacity`` given to one verb must not shrink the next one's
+    ring."""
+    return (tracer.enabled, tracer.sampling, tracer.capacity)
 
 
 def restore_state(state: tuple) -> None:
-    enabled, sampling = state
-    tracer.configure(enabled=enabled, sampling=sampling)
+    enabled, sampling, capacity = state
+    tracer.configure(enabled=enabled, sampling=sampling, capacity=capacity)
 
 
 __all__ = [
@@ -132,6 +155,6 @@ __all__ = [
     "build_provenance",
     "canonical_obs", "merge_rollup", "render_obs_rollup",
     "render_trace_summary", "task_obs_data",
-    "enable", "disable", "is_enabled", "reset",
+    "enable", "disable", "is_enabled", "reset", "hold", "release",
     "save_state", "restore_state",
 ]

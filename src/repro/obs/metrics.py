@@ -137,6 +137,20 @@ class Metrics:
         self.timers = {}
         self.histograms = {}
 
+    def checkpoint(self) -> tuple:
+        """The counters and histograms, to :meth:`restore` later.  Timers
+        are wall-clock and keep running."""
+        histograms = {}
+        for name, histogram in self.histograms.items():
+            copy = histograms[name] = Histogram()
+            copy.counts = dict(histogram.counts)
+            copy.total, copy.sum, copy.max = \
+                histogram.total, histogram.sum, histogram.max
+        return dict(self.counters), histograms
+
+    def restore(self, state: tuple) -> None:
+        self.counters, self.histograms = state
+
     def snapshot(self) -> dict[str, Any]:
         """A plain-dict copy of everything (JSON-ready)."""
         return {

@@ -57,10 +57,16 @@ _ADDRESS_KINDS = {
     "state.enqueue": ("enqueues", True),
     "join": ("joins", True),
     "join.widen": ("widens", False),
+    "join.probe": ("probes", False),
     "smt.query": ("smt_queries", True),
     "annotation": ("annotations", False),
     "reject": ("rejects", False),
 }
+
+#: Kinds whose column is split by one detail field: an event lands in
+#: ``<column>_<value>`` (``widens_ascent``, ``probes_committed``), or in
+#: the plain column when it carries no such field.
+_SPLIT_BY = {"join.widen": "reason", "join.probe": "outcome"}
 
 
 class _PhaseRegion:
@@ -164,6 +170,16 @@ class PhaseTimer:
         self.totals = {}
         self.stacks = {}
 
+    def counts(self) -> dict[str, int]:
+        """Every phase's count, to :meth:`restore_counts` later."""
+        return {name: slot[2] for name, slot in self.totals.items()}
+
+    def restore_counts(self, counts: dict[str, int]) -> None:
+        """Put the counts back, keeping the seconds: time spent in undone
+        work was still spent."""
+        for name, slot in self.totals.items():
+            slot[2] = counts.get(name, 0)
+
     def snapshot(self) -> dict[str, Any]:
         """A JSON-ready, mergeable copy of the phase totals."""
         return {
@@ -255,6 +271,9 @@ def address_costs(events: Iterable[Event],
         if spec is None or event.addr is None:
             continue
         column, sampled = spec
+        split = event.detail.get(_SPLIT_BY.get(event.kind, ""))
+        if split is not None:
+            column = f"{column}_{split}"
         row = table.setdefault(event.addr, {})
         row[column] = row.get(column, 0) + (sampling if sampled else 1)
     return table
@@ -367,8 +386,8 @@ def render_profile(profile: Profile, top: int = 20,
             f" (scaled x{profile.sampling} from sampled events)"
         out.write(f"\nTop {min(top, len(profile.addresses))} addresses by "
                   f"attributed events{estimate}:\n")
-        out.write("  address      explores    joins   widens  smt.q  "
-                  "annot  reject\n")
+        out.write("  address      explores    joins probe+ probe- w.limit "
+                  "w.ascent  smt.q  annot  reject\n")
 
         def weight(item) -> tuple:
             row = item[1]
@@ -379,10 +398,24 @@ def render_profile(profile: Profile, top: int = 20,
         for addr, row in ranked[:top]:
             out.write(
                 f"  {addr:#10x} {row.get('explores', 0):>9} "
-                f"{row.get('joins', 0):>8} {row.get('widens', 0):>8} "
+                f"{row.get('joins', 0):>8} "
+                f"{row.get('probes_committed', 0):>6} "
+                f"{row.get('probes_rolled-back', 0):>6} "
+                f"{row.get('widens_limit', 0):>7} "
+                f"{row.get('widens_ascent', 0):>8} "
                 f"{row.get('smt_queries', 0):>6} "
                 f"{row.get('annotations', 0):>6} {row.get('rejects', 0):>7}\n"
             )
+        rows = profile.addresses.values()
+        out.write(
+            "\nAscent probes: "
+            f"{sum(row.get('probes_committed', 0) for row in rows)} committed, "
+            f"{sum(row.get('probes_rolled-back', 0) for row in rows)} rolled "
+            "back; widens: "
+            f"{sum(row.get('widens_limit', 0) for row in rows)} at the join "
+            "limit, "
+            f"{sum(row.get('widens_ascent', 0) for row in rows)} after an "
+            "ascent probe\n")
     smt_wall = profile.phases.get("smt", {}).get("self_seconds")
     queries = profile.events.get("smt.query")
     if queries and smt_wall is not None:

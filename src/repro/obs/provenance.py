@@ -65,8 +65,10 @@ class Cause:
                     f"-> {verdict}{suffix}{cached}")
         if self.kind in ("join", "join.widen"):
             verb = "widened" if self.kind == "join.widen" else "joined"
+            reason = self.detail.get("reason")
+            because = f", {reason}" if reason else ""
             return (f"state {verb} {where} "
-                    f"(join #{self.detail.get('count', '?')})")
+                    f"(join #{self.detail.get('count', '?')}{because})")
         if self.kind == "state.enqueue":
             return f"state enqueued for {where} (queue={self.detail.get('queue', '?')})"
         if self.kind == "state.explore":

@@ -109,7 +109,7 @@ class Tracer:
     """
 
     __slots__ = ("enabled", "sampling", "addr", "counts", "dropped",
-                 "_ring", "_stack", "_epoch")
+                 "_ring", "_stack", "_epoch", "_held")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.enabled = False
@@ -127,6 +127,8 @@ class Tracer:
         self._ring: deque[Event] = deque(maxlen=capacity)
         self._stack: list[_Span] = []
         self._epoch = time.perf_counter()
+        #: Events recorded while held back (see :meth:`hold`), else None.
+        self._held: list[Event] | None = None
 
     # -- configuration -----------------------------------------------------
 
@@ -155,6 +157,7 @@ class Tracer:
         self.counts = {}
         self.dropped = 0
         self.addr = None
+        self._held = None
         self._epoch = time.perf_counter()
 
     @property
@@ -169,7 +172,12 @@ class Tracer:
 
         All recording paths funnel through here so a wrapped ring is never
         silent: when the bounded deque is full, the oldest event is about
-        to be overwritten and ``dropped`` counts it."""
+        to be overwritten and ``dropped`` counts it.  While events are
+        held back they go to the side list instead."""
+        held = self._held
+        if held is not None:
+            held.append(event)
+            return
         ring = self._ring
         if len(ring) == ring.maxlen:
             self.dropped += 1
@@ -225,6 +233,23 @@ class Tracer:
             time.perf_counter() - self._epoch, kind,
             self.addr if addr is None else addr, detail,
         ))
+
+    def hold(self) -> dict[str, int]:
+        """Hold back every event recorded from now on until
+        :meth:`release`; returns the counts to restore if they are
+        discarded.  Used for speculative work the caller may undo."""
+        self._held = []
+        return dict(self.counts)
+
+    def release(self, counts: dict[str, int], keep: bool) -> None:
+        """End a :meth:`hold`: move the held events into the ring
+        (*keep*), or drop them and restore the *counts* it returned."""
+        held, self._held = self._held or [], None
+        if keep:
+            for event in held:
+                self.append(event)
+        else:
+            self.counts = counts
 
     def span(self, name: str, /, **args: Any):
         """A context manager timing a named region (no-op when disabled)."""

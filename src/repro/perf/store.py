@@ -100,6 +100,7 @@ _TRUSTED_MODULES = (
     "repro.semantics.state",
     "repro.semantics.tau",
     "repro.hoare.annotations",
+    "repro.hoare.ascent",
     "repro.hoare.calls",
     "repro.hoare.graph",
     "repro.hoare.lifter",

@@ -14,7 +14,11 @@ The join implements Definition 3.3 / Example 3.4: equality clauses for the
 same part with different constants merge into range bounds over a
 deterministic *join variable*; everything else incomparable is dropped.
 Per part the abstraction ladder is  exact value → bounded join variable →
-unbounded join variable, so joining terminates.
+unbounded join variable.  The middle rung can ascend forever (a counter's
+hull grows by one stride per join), so the join alone does not terminate:
+the lifter jumps to the top rung with :func:`widen_predicate`, after
+``widen_after`` changing joins at a vertex or as soon as an ascent probe
+shows that no guard caps the loop (:mod:`repro.hoare.ascent`).
 """
 
 from __future__ import annotations
@@ -432,7 +436,8 @@ def _join_values_impl(
     The ladder: equal exprs stay; two constants become a bounded join
     variable; anything else becomes the (unbounded) join variable.  The join
     variable's name is a deterministic function of (rip, part), so repeated
-    joins at the same program point reuse it and the ladder has height 3.
+    joins at the same program point reuse it: the ladder has three rungs,
+    though the bounded rung's hulls may ascend (see the module docstring).
     """
     if v0 == v1:
         if not isinstance(v0, Var):
@@ -485,7 +490,8 @@ def _join_values_impl(
         # Grow to the exact interval hull.  An ascending chain of hulls is
         # possible (an unbounded counter); termination is enforced one
         # level up — the lifter widens a vertex to unbounded join variables
-        # after a fixed number of joins (see _Lifter.explore).
+        # after a fixed number of joins, or at once in a loop whose ascent
+        # probe finds no guard capping it (see repro.hoare.ascent).
         hull = prior.union(other_iv)
         clauses: list[Clause] = []
         if hull.lo > 0:
@@ -537,7 +543,7 @@ def join_predicates(p0: Predicate, p1: Predicate, rip: int) -> Predicate:
     for region in sorted(set(mem0) | set(mem1), key=region_key):
         v0, v1 = mem0.get(region), mem1.get(region)
         if v0 is not None and v1 is not None:
-            value, bounds = join_pair(f"mem@{region}", v0, v1)
+            value, bounds = join_pair(f"mem@{region_key(region)}", v0, v1)
             if value is not None:
                 new_mem[region] = value
                 extra_clauses += bounds
@@ -545,7 +551,7 @@ def join_predicates(p0: Predicate, p1: Predicate, rip: int) -> Predicate:
         # Written on at least one path with diverging/unknown value: the
         # region stays *tracked* (its initial contents must not be
         # re-read) but its value is existentially unknown.
-        new_mem[region] = Var(f"mjoin@{rip:#x}@{region}")
+        new_mem[region] = Var(f"mjoin@{rip:#x}@{region_key(region)}")
 
     # Flags join through the same pair mechanism: when both sides' flags
     # come from the same kind of operation, joining the operand values
@@ -677,6 +683,8 @@ def _join_foreign_var_clauses(
         return names
 
     by_var0, by_var1 = grouped(p0), grouped(p1)
+    if not by_var0 and not by_var1:
+        return frozenset()
     refs0, refs1 = references(p0), references(p1)
     kept: set[Clause] = set()
     for var in set(by_var0) | set(by_var1):
@@ -704,8 +712,9 @@ def less_abstract(p0: Predicate, p1: Predicate, rip: int) -> bool:
 
 def widen_predicate(pred: Predicate) -> Predicate:
     """Drop every bound clause on join variables: the terminal rung of the
-    range-abstraction ladder.  Applied by the lifter after a vertex has
-    been joined many times, guaranteeing termination of ascending interval
+    range-abstraction ladder.  Applied by the lifter on a vertex's changing
+    joins past ``widen_after``, and on every changing join of a loop whose
+    ascent probe committed, guaranteeing termination of ascending interval
     hulls (unbounded loop counters)."""
     kept = frozenset(
         clause for clause in pred.clauses

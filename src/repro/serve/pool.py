@@ -231,7 +231,10 @@ class WorkerHandle:
         self.proc.join(timeout=5)
         if self.proc.is_alive():
             self.kill()
-        self.conn.close()
+        try:
+            self.conn.close()
+        except OSError:
+            pass  # the event loop closed it when the worker died
 
 
 class WorkerPool:

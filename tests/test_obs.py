@@ -405,11 +405,14 @@ def test_provenance_fails_loudly_on_a_truncated_stream():
 def test_trace_verb_exits_nonzero_on_truncation(overflow_path, capsys):
     from repro.__main__ import main
 
+    capacity = obs.tracer.capacity
     assert main(["trace", overflow_path, "--capacity", "16"]) == 1
     captured = capsys.readouterr()
     assert "events dropped" in captured.out      # summary warning
     assert "trace ring wrapped" in captured.err  # the hard failure
     assert "--capacity" in captured.err          # ... with the remedy
+    # The verb's ring size does not outlive it.
+    assert obs.tracer.capacity == capacity
 
 
 def test_task_obs_data_reports_dropped_and_phases():

@@ -5,7 +5,8 @@ Covers the PR-8 profiling contracts:
 * ``PhaseTimer`` self-time arithmetic (self = wall - nested children) and
   snapshot/merge algebra;
 * the disabled no-op region (one shared object, no allocation);
-* per-address cost folding with sampling scale-back;
+* per-address cost folding with sampling scale-back, widens split by
+  reason and ascent probes by outcome;
 * the canonical profile form: deterministic phase counts (minus the
   cache-warmth-dependent ``smt``), byte-identical between serial and
   worker-pool corpus runs;
@@ -163,6 +164,32 @@ def test_address_costs_scale_sampled_kinds():
     assert table[0x2000] == {"smt_queries": 8}
 
 
+def test_address_costs_split_widens_and_probes_by_reason():
+    events = [
+        Event(ts=0.0, kind="join.widen", addr=0x1000,
+              detail={"count": 65, "reason": "limit"}),
+        Event(ts=0.0, kind="join.widen", addr=0x1000,
+              detail={"count": 3, "reason": "ascent"}),
+        Event(ts=0.0, kind="join.widen", addr=0x1004,
+              detail={"count": 4, "reason": "ascent"}),
+        Event(ts=0.0, kind="join.probe", addr=0x1000,
+              detail={"outcome": "committed", "verdict": "uncapped"}),
+        Event(ts=0.0, kind="join.probe", addr=0x2000,
+              detail={"outcome": "rolled-back", "verdict": "capped"}),
+    ]
+    table = address_costs(events, sampling=8)
+    assert table == {
+        0x1000: {"widens_limit": 1, "widens_ascent": 1,
+                 "probes_committed": 1},
+        0x1004: {"widens_ascent": 1},
+        0x2000: {"probes_rolled-back": 1},
+    }
+    text = render_profile(Profile(addresses=table))
+    assert "probe+ probe- w.limit w.ascent" in text
+    assert ("Ascent probes: 1 committed, 1 rolled back; widens: 1 at the "
+            "join limit, 2 after an ascent probe") in text
+
+
 def test_canonical_profile_keeps_counts_drops_walls_and_smt():
     data = {
         "phases": {
@@ -273,6 +300,10 @@ def test_profile_verb_text(loop_elf, capsys):
     assert "Profile:" in out
     assert "attributed to named phases" in out
     assert "decode" in out and "join" in out
+    # No guard caps the loop's counter: its probe commits and widens.
+    assert "Ascent probes: 1 committed, 0 rolled back; widens: 0 at the " \
+        "join limit" in out
+    assert " 0 after an ascent probe" not in out
     assert not obs.is_enabled(), "profile must restore the prior obs state"
     assert not phases.profile_mode
 

@@ -123,6 +123,13 @@ subjects["localbuf"] = compile_source(
 subjects["fsm"] = compile_source(
     T.make_state_machine("s") + "long main(long n) { return fsm_s(n, 2); }",
     name="fsm")
+# Two loops whose ascent probe commits (tests/test_ascent_probe.py).
+subjects["loopsum"] = compile_source(
+    T.make_loop_sum("s") + "long main(long n) { return loopsum_s(n); }",
+    name="loopsum")
+subjects["scan"] = compile_source(
+    T.make_byte_scanner("s") + "long main(long n) { return scan_s(n); }",
+    name="scan")
 out = {"payloads": {}, "replays": {}}
 for name, binary in subjects.items():
     result = lift(binary, cache=False)
@@ -171,6 +178,6 @@ def test_reports_and_graphs_do_not_depend_on_the_hash_seed():
     first, *others = (_report_under_seed(seed) for seed in (1, 2, 3))
     replays = first["replays"]
     assert all(len(replays[name]["checks"]) > 10 for name in replays)
-    assert len(first["payloads"]) == 7
+    assert len(first["payloads"]) == 9
     for other in others:
         assert other == first
