@@ -164,6 +164,7 @@ def _run_profile(args) -> int:
         phases,
         render_profile,
     )
+    from repro.perf import cache_stats
 
     # Profiling measures a real lift — a store hit would attribute nothing.
     args.cache = False
@@ -171,8 +172,12 @@ def _run_profile(args) -> int:
     obs.reset()
     obs.enable(sampling=args.sampling, capacity=args.capacity)
     phases.profile_mode = True
+    memo_before = cache_stats()["memmodel.ins"]
     try:
         result = _load_and_lift(args)
+        memo = cache_stats()["memmodel.ins"]
+        served = memo["hits"] - memo_before["hits"]
+        computed = memo["misses"] - memo_before["misses"]
         profile = build_profile(
             obs.tracer.events(),
             dict(obs.tracer.counts),
@@ -181,6 +186,7 @@ def _run_profile(args) -> int:
             sampling=obs.tracer.sampling,
             stacks=dict(phases.stacks),
             events_dropped=obs.tracer.dropped,
+            insertions=(served + computed, served),
         )
     finally:
         phases.profile_mode = False

@@ -78,13 +78,15 @@ def lift_with_summaries(binary: Binary, **kwargs):
     """The two-phase ``lift(..., pointer_summaries=True)`` implementation.
 
     Both phases get the caller's full option set (including the CPU-time
-    budget: the phases are independent fixpoints)."""
+    budget: the phases are independent fixpoints).  When that budget cuts
+    phase 1 short, the result is marked, so the lift store keeps it out."""
     from repro.hoare.lifter import lift_uncached
 
     base = lift_uncached(binary, **kwargs)
     oracle = build_oracle(base)
     before = counters.snapshot()
     refined = lift_uncached(binary, summaries=oracle, **kwargs)
+    refined.summaries_cut_by_cpu_budget = base.cpu_budget_exhausted
     for name, delta in counters.delta(before, counters.snapshot()).items():
         _PHASE2[name] = _PHASE2.get(name, 0) + delta
     return refined

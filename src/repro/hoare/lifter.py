@@ -109,6 +109,9 @@ class LiftResult:
     assumptions: set[Assumption] = field(default_factory=set)
     errors: list[VerificationError] = field(default_factory=list)
     stats: LiftStats = field(default_factory=LiftStats)
+    #: A pointer-summary lift whose phase 1 the CPU-time guard cut short:
+    #: its summaries, and so this result, depend on machine speed.
+    summaries_cut_by_cpu_budget: bool = False
 
     @property
     def verified(self) -> bool:
@@ -122,6 +125,12 @@ class LiftResult:
         return any(error.kind == "timeout"
                    and error.detail.startswith(CPU_BUDGET_DETAIL)
                    for error in self.errors)
+
+    @property
+    def depends_on_cpu_budget(self) -> bool:
+        """True iff the CPU-time guard shaped this result: it rejected the
+        lift, or it cut short the phase-1 lift the summaries came from."""
+        return self.cpu_budget_exhausted or self.summaries_cut_by_cpu_budget
 
     @property
     def instructions(self) -> dict[int, Instruction]:

@@ -20,19 +20,25 @@ Models are immutable; every operation returns new models.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.expr import EvalEnv, EvalError, compile_expr
-from repro.perf import register_lru
+from repro.expr import EvalEnv, EvalError, Expr, compile_expr
+from repro.expr.ast import expr_key
+from repro.obs.metrics import metrics as _M
+from repro.obs.tracer import tracer as _T
+from repro.perf import register_cache, register_lru
 from repro.smt.solver import (
     Assumption,
     BoundsProvider,
     NO_BOUNDS,
     Region,
     Relation,
+    _fingerprint_terms,
     decide_relation,
     possible_relations,
+    query_count,
     region_key,
 )
 
@@ -169,7 +175,105 @@ def ins(
     Completeness (Lemma 3.11): for every possibly-true mapping of relations
     between *region* and the regions already in the model, some returned
     model realizes it — either structurally or via the destroyed set.
+
+    Memoized on exactly what the insertion reads (see :data:`_INS_MEMO`).
+    A hit while tracing counts the relation queries the insertion asked
+    when it ran, so SMT query counts do not depend on how warm the memo is.
     """
+    key = (region, model, max_forks, _ins_fingerprint(region, model, bounds))
+    entry = _INS_MEMO.get(key)
+    if entry is None:
+        before = query_count()
+        results = tuple(_ins(region, model, bounds, max_forks))
+        entry = (results, query_count() - before)
+        _INS_MEMO.put(key, entry)
+    elif _T.enabled and entry[1]:
+        _M.inc("smt.queries", entry[1])
+        _T.count("smt.query", entry[1])
+    return list(entry[0])
+
+
+# -- the insertion memo ------------------------------------------------------------
+#
+# An insertion reads its bounds only through relation queries, on pairs of
+# regions drawn from the model, its destroyed set and the new region.  Each
+# query reads ``bounds.interval_of`` on the fingerprint terms of its pair
+# (:func:`repro.smt.solver._fingerprint_terms`) and nothing else.  The key
+# holds those intervals for the union of the terms of every such pair, each
+# region paired with itself too, so a hit returns what the insertion would
+# compute.  The term set is a function of (region, model) alone and is
+# memoized on it; only the intervals are looked up per call.
+
+
+class _InsMemo:
+    """A bounded LRU of insertion outcomes with hit/miss counts."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._data: OrderedDict = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key):
+        entry = self._data.get(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        self._data.move_to_end(key)
+        self.hits += 1
+        return entry
+
+    def put(self, key, entry) -> None:
+        self._data[key] = entry
+        if len(self._data) > self.maxsize:
+            self._data.popitem(last=False)
+
+    def clear(self) -> None:
+        self._data.clear()
+        self.hits = 0
+        self.misses = 0
+
+    def stats(self) -> dict:
+        return {"hits": self.hits, "misses": self.misses,
+                "size": len(self._data)}
+
+
+#: (region, model, max_forks, intervals) -> (outcomes, relation queries asked).
+_INS_MEMO = _InsMemo(1 << 12)
+register_cache("memmodel.ins", _INS_MEMO.stats, _INS_MEMO.clear)
+
+
+def _ins_fingerprint(region: Region, model: MemModel,
+                     bounds: BoundsProvider) -> tuple:
+    interval_of = bounds.interval_of
+    return tuple(interval_of(term) for term in _ins_terms(region, model))
+
+
+@lru_cache(maxsize=1 << 12)
+def _ins_terms(region: Region, model: MemModel) -> tuple[Expr, ...]:
+    """The terms whose bounds inserting *region* into *model* can read,
+    in deterministic order: the fingerprint terms of every pair of the
+    distinct addresses of the new region, the model's regions and its
+    destroyed regions, each address paired with itself too."""
+    regions = model.all_regions() | model.destroyed | {region}
+    addrs = sorted({r.addr for r in regions}, key=expr_key)
+    terms: set[Expr] = set()
+    for i, a0 in enumerate(addrs):
+        for a1 in addrs[i:]:
+            terms.update(_fingerprint_terms(a0, a1))
+    return tuple(sorted(terms, key=expr_key))
+
+
+register_lru("memmodel.ins_terms", _ins_terms)
+
+
+def _ins(
+    region: Region,
+    model: MemModel,
+    bounds: BoundsProvider,
+    max_forks: int,
+) -> list[InsResult]:
+    """The uncached body of :func:`ins`."""
     if any(
         decide_relation(region, destroyed, bounds).relation is not Relation.SEPARATE
         for destroyed in model.destroyed
@@ -361,26 +465,10 @@ def relation_in_model(model: MemModel, r0: Region, r1: Region) -> Relation | Non
         return Relation.ALIAS
     if r0 in model.destroyed or r1 in model.destroyed:
         return None
-
-    def locate(tree: MemTree, region: Region, path: tuple[MemTree, ...]):
-        if region in tree.regions:
-            return path + (tree,)
-        for child in tree.children:
-            found = locate(child, region, path + (tree,))
-            if found:
-                return found
+    paths = _region_paths(model)
+    path0, path1 = paths.get(r0), paths.get(r1)
+    if path0 is None or path1 is None:
         return None
-
-    paths = {}
-    for region in (r0, r1):
-        for tree in model.trees:
-            found = locate(tree, region, ())
-            if found:
-                paths[region] = found
-                break
-    if r0 not in paths or r1 not in paths:
-        return None
-    path0, path1 = paths[r0], paths[r1]
     if path0[-1] is path1[-1]:
         return Relation.ALIAS
     if len(path0) < len(path1) and path1[: len(path0)] == path0:
@@ -388,6 +476,29 @@ def relation_in_model(model: MemModel, r0: Region, r1: Region) -> Relation | Non
     if len(path1) < len(path0) and path0[: len(path1)] == path1:
         return Relation.ENCLOSED
     return Relation.SEPARATE
+
+
+def _region_paths(model: MemModel) -> dict[Region, tuple[MemTree, ...]]:
+    """Each region's path of nodes, from its root down to the first node
+    holding it in a pre-order walk of the sorted forest.  (``ins`` can
+    leave one region in two nodes; the sorted walk picks the same one
+    under any hash seed.)  Built once per model and cached on it, out of
+    pickles like a tree's rendering."""
+    paths = model.__dict__.get("_paths")
+    if paths is None:
+        paths = {}
+
+        def walk(tree: MemTree, path: tuple[MemTree, ...]) -> None:
+            path += (tree,)
+            for region in tree.regions:
+                paths.setdefault(region, path)
+            for child in _sorted(tree.children):
+                walk(child, path)
+
+        for tree in _sorted(model.trees):
+            walk(tree, ())
+        object.__setattr__(model, "_paths", paths)
+    return paths
 
 
 # -- concrete satisfaction (Definition 3.9) ------------------------------------------

@@ -244,6 +244,9 @@ class Profile:
     sampling: int = 1
     #: Events lost to ring wrap-around during capture.
     events_dropped: int = 0
+    #: Memory-model insertions during capture and how many of them the
+    #: insertion memo served, when known.
+    insertions: tuple[int, int] | None = None
 
     @property
     def attributed_seconds(self) -> float:
@@ -285,7 +288,8 @@ def build_profile(events: Iterable[Event],
                   wall_seconds: float | None = None,
                   sampling: int = 1,
                   stacks: dict[str, float] | None = None,
-                  events_dropped: int = 0) -> Profile:
+                  events_dropped: int = 0,
+                  insertions: tuple[int, int] | None = None) -> Profile:
     """Fold one capture (events + phase totals) into a :class:`Profile`."""
     return Profile(
         phases=dict(phases_snapshot or {}),
@@ -295,6 +299,7 @@ def build_profile(events: Iterable[Event],
         wall_seconds=wall_seconds,
         sampling=sampling,
         events_dropped=events_dropped,
+        insertions=insertions,
     )
 
 
@@ -421,4 +426,8 @@ def render_profile(profile: Profile, top: int = 20,
     if queries and smt_wall is not None:
         out.write(f"\nSMT: {queries} queries, {smt_wall:.3f} s solver "
                   f"self-time ({smt_wall / queries * 1e6:.1f} us/query)\n")
+    if profile.insertions is not None:
+        total, served = profile.insertions
+        out.write(f"Memory-model insertions: {total}, {served} served by "
+                  "the insertion memo\n")
     return out.getvalue()

@@ -225,6 +225,11 @@ class Tracer:
         counts[kind] = n + 1
         return n % self.sampling == 0
 
+    def count(self, kind: str, n: int) -> None:
+        """Count *n* occurrences of *kind* without recording any: for work
+        a memo answered, whose events were recorded when it was done."""
+        self.counts[kind] = self.counts.get(kind, 0) + n
+
     def record(self, kind: str, detail: dict[str, Any],
                addr: int | None = None) -> None:
         """Append one event whose occurrence was already counted by

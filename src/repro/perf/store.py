@@ -501,10 +501,12 @@ def cached_lift(
     (:mod:`repro.expr.ast` ``__reduce__``), so identity-based fast paths
     keep working on cached graphs.
 
-    A rejection by the CPU-time guard is returned but never stored: it
+    A result the CPU-time guard shaped is returned but never stored: it
     depends on machine speed, and a cached copy would stick for every
-    later run.  A ``max_states`` rejection is deterministic fuel and is
-    stored like any other verdict.
+    later run.  That covers a rejection by the guard, and a
+    ``pointer_summaries`` lift whose phase 1 the guard cut short.  A
+    ``max_states`` rejection is deterministic fuel and is stored like any
+    other verdict.
     """
     from repro.hoare.lifter import lift_uncached
 
@@ -525,6 +527,6 @@ def cached_lift(
         max_targets=max_targets, timeout_seconds=timeout_seconds,
         schedule=schedule, pointer_summaries=pointer_summaries,
     )
-    if not result.cpu_budget_exhausted:
+    if not result.depends_on_cpu_budget:
         store.put(key, result)
     return result

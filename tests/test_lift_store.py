@@ -244,6 +244,38 @@ def test_cpu_budget_rejection_is_not_stored(store):
     assert hit.errors == fuel.errors
 
 
+def test_summaries_from_a_cpu_budget_cut_phase_1_are_not_stored(
+        store, monkeypatch):
+    import repro.hoare.lifter as lifter_mod
+    from repro.hoare.annotations import VerificationError
+
+    original = lifter_mod.lift_uncached
+
+    def cut_phase_1(binary, **kwargs):
+        result = original(binary, **kwargs)
+        phase_1 = (kwargs.get("summaries") is None
+                   and not kwargs.get("pointer_summaries"))
+        if phase_1:
+            result.errors.append(VerificationError(
+                "timeout", result.entry,
+                f"{lifter_mod.CPU_BUDGET_DETAIL} (10s) exhausted"))
+        return result
+
+    binary = build_target("loop")
+    monkeypatch.setattr(lifter_mod, "lift_uncached", cut_phase_1)
+    cut = lift(binary, cache=store, pointer_summaries=True)
+    # Phase 2 verified, but it ran on summaries of a cut phase 1.
+    assert cut.verified and not cut.cpu_budget_exhausted
+    assert cut.depends_on_cpu_budget
+    assert store.stats()["entries"] == 0
+
+    # The same two-phase lift without the cut is stored.
+    monkeypatch.setattr(lifter_mod, "lift_uncached", original)
+    whole = lift(binary, cache=store, pointer_summaries=True)
+    assert whole.verified and not whole.depends_on_cpu_budget
+    assert store.stats()["entries"] == 1
+
+
 # -- resolution -------------------------------------------------------------
 
 def test_resolve_store_env_and_overrides(tmp_path, monkeypatch):
