@@ -31,22 +31,17 @@ def code_key(state: SymState, text_range: tuple[int, int]) -> VertexKey:
     vertices (aliasing vs separate) apart."""
     rip = state.rip
     low, high = text_range
-
-    def is_text(value) -> bool:
-        return isinstance(value, Const) and low <= value.value < high
-
+    # The registers are sorted by name already.
     reg_imms = tuple(
-        sorted(
-            (reg, value.value)
-            for reg, value in state.pred.regs
-            if reg != "rip" and is_text(value)
-        )
+        (reg, value.value) for reg, value in state.pred.regs
+        if isinstance(value, Const) and low <= value.value < high
+        and reg != "rip"
     )
     mem_imms = tuple(
         sorted(
             (str(region), value.value)
             for region, value in state.pred.mem
-            if is_text(value)
+            if isinstance(value, Const) and low <= value.value < high
         )
     )
     if mem_imms:

@@ -50,7 +50,7 @@ from repro.semantics import (
     join_states,
     step,
 )
-from repro.semantics.state import states_equal
+from repro.semantics.state import changed_parts, states_equal
 from repro.smt.solver import Assumption, Region
 from repro.hoare.annotations import Annotation, Obligation, VerificationError
 from repro.hoare.ascent import extrapolate, grown_hulls, steps_on
@@ -472,7 +472,8 @@ class _Lifter:
                 self.join_counts[key] = count
                 _gated("lift_joins")
                 if _T.enabled:
-                    _T.emit_sampled("join", rip, count=count)
+                    _T.emit_sampled("join", rip, count=count, changed=" ".join(
+                        changed_parts(current, joined)))
                     _M.observe("join.depth", count)
                 # Interval hulls may ascend forever (unbounded counters);
                 # jump to the top of the range-abstraction ladder after
@@ -589,9 +590,10 @@ class _Lifter:
         if extern is not None:
             self.handle_external_tail(state, src_key, instr_addr, extern)
             return
-        dst_state = state.with_pred(
-            state.pred.with_regs({**state.pred.reg_dict(), "rip": Const(target)})
-        )
+        dst_state = state
+        if state.pred.rip != Const(target):
+            dst_state = state.with_pred(state.pred.with_regs(
+                {**state.pred.reg_dict(), "rip": Const(target)}))
         dst_key = code_key(dst_state, self.text_range)
         self.add_edge(src_key, instr_addr, dst_key)
         self.enqueue(dst_state)

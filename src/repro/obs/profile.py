@@ -63,6 +63,10 @@ _ADDRESS_KINDS = {
     "reject": ("rejects", False),
 }
 
+#: The state components a changing join can change, in table order (the
+#: ``changed`` detail of a ``join`` event names them).
+CHURN_PARTS = ("regs", "mem", "flags", "clauses", "model", "epoch")
+
 #: Kinds whose column is split by one detail field: an event lands in
 #: ``<column>_<value>`` (``widens_ascent``, ``probes_committed``), or in
 #: the plain column when it carries no such field.
@@ -247,6 +251,9 @@ class Profile:
     #: Memory-model insertions during capture and how many of them the
     #: insertion memo served, when known.
     insertions: tuple[int, int] | None = None
+    #: Vertex address -> changing joins and, per state component, how many
+    #: of them changed it (see :func:`join_churn`).
+    churn: dict[int, dict[str, int]] = field(default_factory=dict)
 
     @property
     def attributed_seconds(self) -> float:
@@ -282,6 +289,24 @@ def address_costs(events: Iterable[Event],
     return table
 
 
+def join_churn(events: Iterable[Event],
+               sampling: int = 1) -> dict[int, dict[str, int]]:
+    """Per vertex address: its changing joins (``joins``) and, for each
+    of :data:`CHURN_PARTS`, how many of them changed that component.
+
+    Counts scale back up by *sampling*, like the sampled kinds of
+    :func:`address_costs`.  Joins of a rolled-back ascent probe never
+    reach the stream (``obs.hold``/``release``)."""
+    table: dict[int, dict[str, int]] = {}
+    for event in events:
+        if event.kind != "join" or event.addr is None:
+            continue
+        row = table.setdefault(event.addr, {})
+        for column in ("joins", *event.detail.get("changed", "").split()):
+            row[column] = row.get(column, 0) + sampling
+    return table
+
+
 def build_profile(events: Iterable[Event],
                   counts: dict[str, int],
                   phases_snapshot: dict[str, Any] | None = None,
@@ -291,9 +316,11 @@ def build_profile(events: Iterable[Event],
                   events_dropped: int = 0,
                   insertions: tuple[int, int] | None = None) -> Profile:
     """Fold one capture (events + phase totals) into a :class:`Profile`."""
+    events = list(events)
     return Profile(
         phases=dict(phases_snapshot or {}),
         addresses=address_costs(events, sampling=sampling),
+        churn=join_churn(events, sampling=sampling),
         stacks=dict(stacks or {}),
         events=dict(counts),
         wall_seconds=wall_seconds,
@@ -421,6 +448,17 @@ def render_profile(profile: Profile, top: int = 20,
             "limit, "
             f"{sum(row.get('widens_ascent', 0) for row in rows)} after an "
             "ascent probe\n")
+    if profile.churn:
+        ranked = sorted(profile.churn.items(),
+                        key=lambda item: (-item[1]["joins"], item[0]))
+        out.write(f"\nJoin churn, top {min(top, len(ranked))} vertices by "
+                  "changing joins (how many changed each component):\n")
+        out.write("  address        joins "
+                  + " ".join(f"{part:>7}" for part in CHURN_PARTS) + "\n")
+        for addr, row in ranked[:top]:
+            out.write(f"  {addr:#10x} {row['joins']:>9} "
+                      + " ".join(f"{row.get(part, 0):>7}"
+                                 for part in CHURN_PARTS) + "\n")
     smt_wall = profile.phases.get("smt", {}).get("self_seconds")
     queries = profile.events.get("smt.query")
     if queries and smt_wall is not None:

@@ -23,7 +23,7 @@ shows that no guard caps the loop (:mod:`repro.hoare.ascent`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -44,7 +44,7 @@ from repro.expr.ast import expr_key, variable_names
 from repro.expr.simplify import add as simplify_add, mul as _mul
 from repro.obs.metrics import metrics as _M
 from repro.obs.tracer import tracer as _T
-from repro.perf import register_lru
+from repro.perf import register_cache, register_lru
 from repro.pred.clause import Clause, compile_clause, intersect_intervals
 from repro.pred.flags import FlagState
 from repro.smt.intervals import Interval
@@ -105,7 +105,8 @@ class Predicate:
 
     def __reduce__(self):
         # Rebuild from the four fields only.  The cached hash is salted
-        # per process and must not travel; the clauses go in a fixed order
+        # per process and must not travel, nor need the other per-instance
+        # caches (rip, variable names); the clauses go in a fixed order
         # so the pickled bytes do not depend on the hash seed either.
         return (_rebuild_predicate, (
             self.regs, self.flags, self.mem,
@@ -127,7 +128,13 @@ class Predicate:
 
     @property
     def rip(self) -> Expr | None:
-        return self.get_reg("rip")
+        # Cached: the lifter asks every state for its rip several times.
+        try:
+            return self.__dict__["_rip"]
+        except KeyError:
+            rip = self.get_reg("rip")
+            object.__setattr__(self, "_rip", rip)
+            return rip
 
     # -- functional updates ----------------------------------------------------
     def with_regs(self, regs: dict[str, Expr]) -> "Predicate":
@@ -311,8 +318,6 @@ def _join_values(
     if v0 is None or v1 is None:
         return None, ()
     if v0 is v1:
-        if not isinstance(v0, Var):
-            return v0, ()
         terms: tuple[Expr, ...] = (v0,)  # only v0's own bounds are read
     else:
         terms = _join_shape(part_name, rip, v0, v1).terms
@@ -334,15 +339,18 @@ def _join_values_cached(
     return value, tuple(clauses)
 
 
-register_lru("pred.join_values", _join_values_cached)
-
-
 def _project(clauses: frozenset[Clause], terms) -> frozenset[Clause]:
     """The clauses whose normalized left-hand side is one of *terms*."""
     index = _clause_index(clauses)
-    return frozenset(
-        clause for term in terms for clause in index.get(term, ())
-    )
+    if not index:
+        return _NO_CLAUSES
+    groups = [index[term] for term in terms if term in index]
+    if not groups:
+        return _NO_CLAUSES
+    return frozenset(clause for group in groups for clause in group)
+
+
+_NO_CLAUSES: frozenset[Clause] = frozenset()
 
 
 @lru_cache(maxsize=1 << 12)
@@ -514,44 +522,69 @@ def join_predicates(p0: Predicate, p1: Predicate, rip: int) -> Predicate:
 
     Soundness: every produced clause is implied by P and by Q (for the join
     variables: under *some* assignment, in each).  Information only drops.
+
+    One merge pass walks the two sides' sorted registers (by name) and
+    memory valuations (by :func:`region_key`) and builds the result in
+    order.  A part whose two values are the same object is answered on the
+    spot (:func:`_identity_part`); only the other parts reach the value
+    join and its memo.
     """
-    regs0, regs1 = p0.reg_dict(), p1.reg_dict()
-    new_regs: dict[str, Expr] = {}
+    clauses0, clauses1 = p0.clauses, p1.clauses
+    index0, index1 = _clause_index(clauses0), _clause_index(clauses1)
     extra_clauses: list[Clause] = []
 
     # Parts holding the *same pair* of values on the two sides stay equal
     # after the join: they share one join variable.  (A register that was
     # just loaded from a stack slot keeps its equality with the slot, so a
     # branch bound on the register also bounds the slot.)
-    pair_cache: dict[tuple[Expr, Expr], tuple[Expr | None, list[Clause]]] = {}
+    pair_cache: dict[tuple[Expr, Expr], tuple[Expr | None, tuple]] = {}
 
-    def join_pair(name: str, v0: Expr, v1: Expr):
+    def join_pair(v0: Expr, v1: Expr, part: str | Region):
+        # *part* names a register or the flags, or is a memory region,
+        # whose name is rendered only for a part the value join sees.
+        if v0 is v1 and _identity_part(v0, index0, index1):
+            _IDENTITY_ANSWERS[0] += 1
+            return v0, ()
         key = (v0, v1)
-        if key not in pair_cache:
-            pair_cache[key] = _join_values(name, rip, v0, v1,
-                                           p0.clauses, p1.clauses)
-        return pair_cache[key]
+        joined = pair_cache.get(key)
+        if joined is None:
+            if isinstance(part, Region):
+                part = f"mem@{region_key(part)}"
+            joined = pair_cache[key] = _join_values(
+                part, rip, v0, v1, clauses0, clauses1)
+        return joined
 
-    for name in sorted(set(regs0) & set(regs1)):
-        value, bounds = join_pair(name, regs0[name], regs1[name])
+    new_regs: list[tuple[str, Expr]] = []
+    regs0, regs1 = p0.regs, p1.regs
+    i = j = 0
+    while i < len(regs0) and j < len(regs1):
+        name, v0 = regs0[i]
+        other, v1 = regs1[j]
+        if name != other:
+            if name < other:
+                i += 1
+            else:
+                j += 1
+            continue
+        i += 1
+        j += 1
+        value, bounds = join_pair(v0, v1, name)
         if value is not None:
-            new_regs[name] = value
+            new_regs.append((name, value))
             extra_clauses += bounds
 
-    mem0, mem1 = p0.mem_dict(), p1.mem_dict()
-    new_mem: dict[Region, Expr] = {}
-    for region in sorted(set(mem0) | set(mem1), key=region_key):
-        v0, v1 = mem0.get(region), mem1.get(region)
+    new_mem: list[tuple[Region, Expr]] = []
+    for region, v0, v1 in _merge_mem(p0.mem, p1.mem):
         if v0 is not None and v1 is not None:
-            value, bounds = join_pair(f"mem@{region_key(region)}", v0, v1)
+            value, bounds = join_pair(v0, v1, region)
             if value is not None:
-                new_mem[region] = value
+                new_mem.append((region, value))
                 extra_clauses += bounds
                 continue
         # Written on at least one path with diverging/unknown value: the
         # region stays *tracked* (its initial contents must not be
         # re-read) but its value is existentially unknown.
-        new_mem[region] = Var(f"mjoin@{rip:#x}@{region_key(region)}")
+        new_mem.append((region, Var(f"mjoin@{rip:#x}@{region_key(region)}")))
 
     # Flags join through the same pair mechanism: when both sides' flags
     # come from the same kind of operation, joining the operand values
@@ -566,12 +599,12 @@ def join_predicates(p0: Predicate, p1: Predicate, rip: int) -> Predicate:
         f0 is not None and f1 is not None
         and f0.kind == f1.kind and f0.width == f1.width
     ):
-        joined_a, bounds_a = join_pair("flags.a", f0.a, f1.a)
+        joined_a, bounds_a = join_pair(f0.a, f1.a, "flags.a")
         if f0.b is None and f1.b is None:
             joined_b, bounds_b = None, ()
             b_ok = True
         elif f0.b is not None and f1.b is not None:
-            joined_b, bounds_b = join_pair("flags.b", f0.b, f1.b)
+            joined_b, bounds_b = join_pair(f0.b, f1.b, "flags.b")
             b_ok = joined_b is not None
         else:
             joined_b, bounds_b, b_ok = None, (), False
@@ -580,44 +613,112 @@ def join_predicates(p0: Predicate, p1: Predicate, rip: int) -> Predicate:
             extra_clauses += [*bounds_a, *bounds_b]
 
     # Non-join-variable clauses (branch conditions over program values)
-    # survive iff present on both sides — plain intersection.
-    own_prefix = f"join@{rip:#x}@"
-
-    def is_join_clause(clause: Clause) -> bool:
-        return isinstance(clause.lhs, Var) and clause.lhs.name.startswith("join@")
-
-    shared_clauses = frozenset(
-        clause for clause in p0.clauses & p1.clauses if not is_join_clause(clause)
-    )
-    shared_clauses |= _join_foreign_var_clauses(p0, p1, own_prefix)
-    result = Predicate.make(
-        regs=new_regs,
-        flags=flags,
-        mem=new_mem,
-        clauses=shared_clauses | frozenset(extra_clauses),
-    )
+    # survive iff present on both sides — plain intersection.  (The sets
+    # are changed with difference and union, which reuse the hashes their
+    # members already carry.)
+    shared = clauses0 & clauses1
+    stale = [clause for clause in shared if _is_join_bound(clause)]
+    if stale:
+        shared = shared.difference(stale)
+    clauses = shared.union(
+        _join_foreign_var_clauses(p0, p1, f"join@{rip:#x}@"), extra_clauses)
+    result = Predicate(tuple(new_regs), flags, tuple(new_mem), clauses)
     # Garbage-collect bounds on join variables no longer referenced by any
     # valuation: they constrain nothing, and letting stale generations
     # accumulate would keep the state changing forever (no fixpoint).
-    live = set(_referenced_var_names(result))
-    if result.flags is not None:
-        for operand in (result.flags.a, result.flags.b):
-            if operand is not None:
-                live.update(variable_names(operand))
-    cleaned = frozenset(
-        clause for clause in result.clauses
-        if not (isinstance(clause.lhs, Var)
-                and clause.lhs.name.startswith("join@")
-                and clause.lhs.name not in live)
-    )
-    if cleaned != result.clauses:
-        result = _replace_clauses(result, cleaned)
+    bounds = [clause for clause in clauses if _is_join_bound(clause)]
+    if bounds:
+        live = _referenced_var_names(result)
+        if flags is not None:
+            live = live.union(*(variable_names(operand)
+                                for operand in (flags.a, flags.b)
+                                if operand is not None))
+        dead = [clause for clause in bounds if clause.lhs.name not in live]
+        if dead:
+            result = _replace_clauses(result, clauses.difference(dead))
     if _T.enabled:
         _T.emit_sampled("pred.join", rip,
                         clauses=len(result.clauses),
                         regs=len(result.regs), mem=len(result.mem))
         _M.observe("pred.join.clauses", len(result.clauses))
     return result
+
+
+def _identity_part(value: Expr, index0: dict, index1: dict) -> bool:
+    """True iff joining *value* with itself gives *value* and no bounds.
+
+    A non-variable joins to itself.  A variable does too when neither
+    side's clause index holds a clause over it: the value join's
+    ``v0 == v1`` rung then finds no bound on either side to hull.  Such
+    answers are exact, so they count as hits of the value-join memo."""
+    return not isinstance(value, Var) or (
+        value not in index0 and value not in index1)
+
+
+def _merge_mem(mem0: tuple, mem1: tuple):
+    """``(region, v0, v1)`` for every region of either side, in
+    :func:`region_key` order; a side without the region gives None.
+
+    Regions are matched with ``==``: equal regions need not be the same
+    object.  Keys are rendered only where the two sides differ.  Distinct
+    regions that render alike (the same address rendering at different
+    widths) need a tie-break: where the two sides list such regions in
+    the same order, that order stays; where they differ, both sides' runs
+    of regions with that rendering come out in ``repr`` order."""
+    i = j = 0
+    while i < len(mem0) and j < len(mem1):
+        (r0, v0), (r1, v1) = mem0[i], mem1[j]
+        if r0 == r1:
+            yield r0, v0, v1
+            i += 1
+            j += 1
+            continue
+        key = region_key(r0)
+        other = region_key(r1)
+        if key < other:
+            yield r0, v0, None
+            i += 1
+        elif other < key:
+            yield r1, None, v1
+            j += 1
+        else:
+            i_end, j_end = i, j
+            while i_end < len(mem0) and region_key(mem0[i_end][0]) == key:
+                i_end += 1
+            while j_end < len(mem1) and region_key(mem1[j_end][0]) == key:
+                j_end += 1
+            run0, run1 = dict(mem0[i:i_end]), dict(mem1[j:j_end])
+            for region in sorted(run0.keys() | run1.keys(), key=repr):
+                yield region, run0.get(region), run1.get(region)
+            i, j = i_end, j_end
+    for region, v0 in mem0[i:]:
+        yield region, v0, None
+    for region, v1 in mem1[j:]:
+        yield region, None, v1
+
+
+def _is_join_bound(clause: Clause) -> bool:
+    lhs = clause.lhs
+    return isinstance(lhs, Var) and lhs.name.startswith("join@")
+
+
+#: Part joins :func:`_identity_part` answered: the hits the value-join
+#: memo's registered statistics add to its own.
+_IDENTITY_ANSWERS = [0]
+
+
+def _join_values_stats() -> dict:
+    info = _join_values_cached.cache_info()
+    return {"hits": info.hits + _IDENTITY_ANSWERS[0], "misses": info.misses,
+            "size": info.currsize}
+
+
+def _join_values_clear() -> None:
+    _join_values_cached.cache_clear()
+    _IDENTITY_ANSWERS[0] = 0
+
+
+register_cache("pred.join_values", _join_values_stats, _join_values_clear)
 
 
 def _referenced_var_names(pred: Predicate) -> frozenset[str]:
@@ -639,7 +740,7 @@ def _referenced_var_names(pred: Predicate) -> frozenset[str]:
 def _replace_clauses(pred: Predicate, clauses: frozenset[Clause]) -> Predicate:
     """*pred* with another clause set.  The valuations stay, and so do
     their cached variable names."""
-    out = replace(pred, clauses=clauses)
+    out = Predicate(pred.regs, pred.flags, pred.mem, clauses)
     names = pred.__dict__.get("_refnames")
     if names is not None:
         object.__setattr__(out, "_refnames", names)
@@ -657,11 +758,14 @@ def _join_foreign_var_clauses(
     bounds it but the other references it → dropped (unknown value)."""
     def grouped(pred: Predicate) -> dict[Var, list[Clause]]:
         out: dict[Var, list[Clause]] = {}
-        for clause in pred.clauses:
-            if isinstance(clause.lhs, Var) and \
-                    clause.lhs.name.startswith("join@") and \
-                    not clause.lhs.name.startswith(own_prefix):
-                out.setdefault(clause.lhs, []).append(clause)
+        for lhs, group in _clause_index(pred.clauses).items():
+            if isinstance(lhs, Var) and lhs.name.startswith("join@") \
+                    and not lhs.name.startswith(own_prefix):
+                # The group also holds ``C op var`` clauses; keep ``var op C``.
+                bounds = [clause for clause in group
+                          if isinstance(clause.lhs, Var)]
+                if bounds:
+                    out[lhs] = bounds
         return out
 
     def references(pred: Predicate) -> set[str]:
@@ -685,7 +789,14 @@ def _join_foreign_var_clauses(
     by_var0, by_var1 = grouped(p0), grouped(p1)
     if not by_var0 and not by_var1:
         return frozenset()
-    refs0, refs1 = references(p0), references(p1)
+    refs: dict[int, set[str]] = {}  # computed for a one-sided bound only
+
+    def free_in(var: Var, side: int) -> bool:
+        names = refs.get(side)
+        if names is None:
+            names = refs[side] = references((p0, p1)[side])
+        return var.name not in names
+
     kept: set[Clause] = set()
     for var in set(by_var0) | set(by_var1):
         clauses0, clauses1 = by_var0.get(var), by_var1.get(var)
@@ -698,9 +809,9 @@ def _join_foreign_var_clauses(
                 kept.add(Clause(var, "geu", Const(hull.lo, width), width))
             if hull.hi < mask(width):
                 kept.add(Clause(var, "leu", Const(hull.hi, width), width))
-        elif clauses0 and var.name not in refs1:
+        elif clauses0 and free_in(var, 1):
             kept.update(clauses0)
-        elif clauses1 and var.name not in refs0:
+        elif clauses1 and free_in(var, 0):
             kept.update(clauses1)
     return frozenset(kept)
 

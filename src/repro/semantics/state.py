@@ -109,3 +109,15 @@ def join_states(s0: SymState, s1: SymState, rip: int) -> SymState:
 def states_equal(s0: SymState, s1: SymState) -> bool:
     return (s0.epoch == s1.epoch and s0.pred == s1.pred
             and s0.model == s1.model)
+
+
+def changed_parts(s0: SymState, s1: SymState) -> tuple[str, ...]:
+    """The components in which *s1* differs from *s0*, in a fixed order:
+    ``regs``, ``mem``, ``flags`` and ``clauses`` of the predicate, then the
+    memory ``model`` and the ``epoch``."""
+    p0, p1 = s0.pred, s1.pred
+    return tuple(name for name, a, b in (
+        ("regs", p0.regs, p1.regs), ("mem", p0.mem, p1.mem),
+        ("flags", p0.flags, p1.flags), ("clauses", p0.clauses, p1.clauses),
+        ("model", s0.model, s1.model), ("epoch", s0.epoch, s1.epoch),
+    ) if a != b)

@@ -30,7 +30,7 @@ from repro.pred.clause import Clause, _intersect_cached
 from repro.qa import faults
 from repro.qa.detectors import binary_signature, signature_diff
 from repro.qa.targets import build_target
-from repro.smt.solver import Region
+from repro.smt.solver import Region, region_key
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -62,15 +62,42 @@ def _lift_all() -> list:
 # -- differential: memoized joins equal the uncached joins ---------------------
 
 
+def _same_object_parts(p0: Predicate, p1: Predicate):
+    """(part name, value, where) for every part the two sides join whose
+    values are one object; *where* reads that part of a joined predicate."""
+    mem1 = p1.mem_dict()
+    for name, value in p0.regs:
+        if p1.get_reg(name) is value:
+            yield name, value, lambda pred, name=name: pred.get_reg(name)
+    for region, value in p0.mem:
+        if mem1.get(region) is value:
+            yield (f"mem@{region_key(region)}", value,
+                   lambda pred, region=region: pred.mem_dict().get(region))
+    f0, f1 = p0.flags, p1.flags
+    if f0 is not None and f1 is not None and f0 != f1 \
+            and (f0.kind, f0.width) == (f1.kind, f1.width):
+        if f0.a is f1.a:
+            yield "flags.a", f0.a, lambda pred: pred.flags and pred.flags.a
+        if f0.b is not None and f0.b is f1.b:
+            yield "flags.b", f0.b, lambda pred: pred.flags and pred.flags.b
+
+
 def test_projected_value_join_equals_full_clause_join(monkeypatch):
-    """Every value join of real lifts, keyed on projected clause sets,
-    gives what the join computes from the sides' whole clause sets."""
+    """Every value join of real lifts, keyed on projected clause sets or
+    answered before the memo (both sides hold one object and no clause
+    bounds it), gives what the join computes from the sides' whole clause
+    sets."""
+    import repro.semantics.state as state_mod
+
     original = pred_mod._join_values
-    compared = 0
+    join = state_mod.join_predicates
+    compared = identities = 0
+    reached: list[tuple] = []   # value pairs of the current join's memo calls
 
     def checked(part, rip, v0, v1, bounds0, bounds1):
         nonlocal compared
         got = original(part, rip, v0, v1, bounds0, bounds1)
+        reached.append((v0, v1))
         if v0 is not None and v1 is not None:
             value, clauses = pred_mod._join_values_impl(
                 part, rip, v0, v1, bounds0, bounds1)
@@ -79,11 +106,29 @@ def test_projected_value_join_equals_full_clause_join(monkeypatch):
             compared += 1
         return got
 
+    def joined(p0, p1, rip):
+        nonlocal identities
+        reached.clear()
+        result = join(p0, p1, rip)
+        for part, value, where in _same_object_parts(p0, p1):
+            if any(v0 is value and v1 is value for v0, v1 in reached):
+                continue  # went through the memo, checked above
+            # Answered before the memo: the value itself, no bounds.
+            assert pred_mod._join_values_impl(
+                part, rip, value, value, p0.clauses, p1.clauses) \
+                == (value, []), (part, rip, value)
+            assert where(result) is value
+            identities += 1
+        return result
+
     reset_caches()
     monkeypatch.setattr(pred_mod, "_join_values", checked)
+    monkeypatch.setattr(state_mod, "join_predicates", joined)
     _lift_all()
-    assert compared > 1000
+    assert compared > 1000 and identities > 1000
     stats = cache_stats()["pred.join_values"]
+    # Answers given before the memo count as its hits.
+    assert stats["hits"] >= identities
     assert stats["hits"] > stats["misses"]
 
 

@@ -31,6 +31,7 @@ from repro.obs.profile import (
     address_costs,
     canonical_profile,
     collapsed_stacks,
+    join_churn,
     phase,
     phases,
     profile_rollup,
@@ -190,6 +191,35 @@ def test_address_costs_split_widens_and_probes_by_reason():
             "join limit, 2 after an ascent probe") in text
 
 
+def test_join_churn_counts_changed_components_per_vertex():
+    events = [
+        Event(ts=0.0, kind="join", addr=0x1000,
+              detail={"count": 1, "changed": "regs clauses"}),
+        Event(ts=0.0, kind="join", addr=0x1000,
+              detail={"count": 2, "changed": "clauses"}),
+        Event(ts=0.0, kind="join", addr=0x2000,
+              detail={"count": 1, "changed": "mem model epoch"}),
+        Event(ts=0.0, kind="join.widen", addr=0x1000,
+              detail={"count": 2, "reason": "limit"}),
+    ]
+    table = join_churn(events, sampling=4)
+    assert table == {
+        0x1000: {"joins": 8, "regs": 4, "clauses": 8},
+        0x2000: {"joins": 4, "mem": 4, "model": 4, "epoch": 4},
+    }
+    text = render_profile(Profile(churn=table))
+    lines = text.splitlines()
+    head = lines.index(next(line for line in lines
+                            if line.startswith("Join churn, top 2 vertices")))
+    assert lines[head + 1].split() == ["address", "joins", "regs", "mem",
+                                       "flags", "clauses", "model", "epoch"]
+    # Ranked by changing joins, columns in component order.
+    assert lines[head + 2].split() == ["0x1000", "8", "4", "0", "0", "8",
+                                       "0", "0"]
+    assert lines[head + 3].split() == ["0x2000", "4", "0", "4", "0", "0",
+                                       "4", "4"]
+
+
 def test_canonical_profile_keeps_counts_drops_walls_and_smt():
     data = {
         "phases": {
@@ -320,3 +350,36 @@ def test_profile_verb_collapsed(loop_elf, tmp_path, capsys):
         path, weight = line.rsplit(" ", 1)
         assert path and int(weight) >= 0
     assert any(line.startswith("decode ") for line in lines)
+
+
+def test_profile_verb_prints_join_churn_without_rolled_back_probes(
+        tmp_path, capsys, monkeypatch):
+    """The QA loop's ascent probe rolls back: the churn table counts the
+    changing joins of a lift without probes, no more."""
+    from repro.__main__ import main
+    from repro.elf import save_binary
+    from repro.hoare import lift
+    from repro.hoare.lifter import _Lifter
+    from repro.perf.counters import counters
+    from repro.qa.targets import build_target
+
+    path = tmp_path / "loop.elf"
+    save_binary(build_target("loop"), str(path))
+    assert main(["profile", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "Ascent probes: 0 committed, 1 rolled back" in out
+    lines = out[out.index("Join churn, top "):].splitlines()
+    rows = []
+    for line in lines[2:]:
+        if not line.startswith("    0x"):
+            break
+        rows.append([int(cell, 0) for cell in line.split()])
+    monkeypatch.setattr(_Lifter, "may_probe",
+                        lambda self, key, rip, count: False)
+    before = counters.lift_joins
+    lift(build_target("loop"), cache=False)
+    assert sum(row[1] for row in rows) == counters.lift_joins - before
+    # Every changing join changed something; the loop's joins widen
+    # bounds, so each one changed the clauses.
+    assert all(row[1] <= sum(row[2:]) for row in rows)
+    assert all(row[5] == row[1] for row in rows)
