@@ -19,27 +19,12 @@ input, so verdicts declare what they rest on.
 from __future__ import annotations
 
 from repro.elf import Binary
-from repro.perf.counters import counters
 from repro.analysis.context import AnalysisContext
 from repro.analysis.pointer.domain import Summary
 from repro.analysis.pointer.summaries import (
     PointerAnalysis,
     external_summary,
 )
-
-#: Counter deltas of refined (phase-2) lifts only, accumulated across
-#: :func:`lift_with_summaries` calls since :func:`reset_phase_counters`.
-#: The summaries-on side of the bench reads these, because a two-phase
-#: lift's *total* counters would double-count the baseline phase.
-_PHASE2: dict[str, int] = {}
-
-
-def reset_phase_counters() -> None:
-    _PHASE2.clear()
-
-
-def phase2_counters() -> dict[str, int]:
-    return dict(_PHASE2)
 
 
 class SummaryOracle:
@@ -83,10 +68,6 @@ def lift_with_summaries(binary: Binary, **kwargs):
     from repro.hoare.lifter import lift_uncached
 
     base = lift_uncached(binary, **kwargs)
-    oracle = build_oracle(base)
-    before = counters.snapshot()
-    refined = lift_uncached(binary, summaries=oracle, **kwargs)
+    refined = lift_uncached(binary, summaries=build_oracle(base), **kwargs)
     refined.summaries_cut_by_cpu_budget = base.cpu_budget_exhausted
-    for name, delta in counters.delta(before, counters.snapshot()).items():
-        _PHASE2[name] = _PHASE2.get(name, 0) + delta
     return refined

@@ -17,9 +17,10 @@ feedback targets:
 * both inside loops, where every clause the context-free policy drops is
   re-derived — and re-queried — once per fixpoint iteration.
 
-``python -m repro.eval bench --summaries-ab`` lifts these off/on next to
-the corpus A/B; they are deliberately *not* part of ``build_corpus`` so
-Table 1 and its golden files are untouched.
+``tests/test_pointer.py`` lifts each of them with summaries off and on
+and requires the same verdict with no more annotations; the pointer-smoke
+CI job repeats that on :func:`flag_loop`.  They are deliberately *not*
+part of ``build_corpus``, so Table 1 and its golden files are untouched.
 """
 
 from __future__ import annotations
@@ -134,16 +135,3 @@ def pure_chain() -> Binary:
         d.quad(value)
     return b.build(entry="main")
 
-
-#: name -> builder, the ``--summaries-ab`` workload set (sorted order is
-#: the measurement order).
-FEEDBACK_WORKLOADS = {
-    "flag_loop": flag_loop,
-    "keeps_loop": keeps_loop,
-    "pure_chain": pure_chain,
-}
-
-
-def build_feedback_workloads() -> list[tuple[str, Binary]]:
-    return [(name, FEEDBACK_WORKLOADS[name]())
-            for name in sorted(FEEDBACK_WORKLOADS)]

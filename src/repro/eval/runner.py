@@ -5,7 +5,7 @@ Ordering contract
 ``CorpusReport.records`` is sorted by ``(kind, directory, name)`` and
 ``CorpusReport.rows`` by ``(kind, directory)``, regardless of corpus
 iteration order or the number of worker processes.  Consumers (Table 1,
-Figure 3, the bench harness, golden files) may rely on this.
+Figure 3, the serve daemon, golden files) may rely on this.
 
 Parallelism
 -----------
@@ -176,9 +176,9 @@ class _LiftTask:
     #: warm obs rollup differ from the cold one.
     cache: bool = False
     cache_dir: str | None = None
+    #: Exploration order and the two-phase pointer-summaries lift; a
+    #: corpus run keeps the defaults, the serve protocol may set both.
     schedule: str = "scc"
-    #: Two-phase lift: feed pointer call-site summaries back into the
-    #: call cleaning (the feedback A/B bench sets this on one side).
     pointer_summaries: bool = False
 
 
@@ -249,7 +249,7 @@ LiftTask = _LiftTask
 def _corpus_tasks(corpus: Corpus, timeout_seconds: float,
                   max_states: int, obs: bool,
                   obs_sampling: int, cache: bool,
-                  cache_dir: str | None, schedule: str,
+                  cache_dir: str | None, schedule: str = "scc",
                   pointer_summaries: bool = False) -> list[_LiftTask]:
     tasks = [
         _LiftTask(name=corpus_binary.name, directory=corpus_binary.directory,
@@ -340,8 +340,6 @@ def run_corpus(
     obs_sampling: int = DEFAULT_SAMPLING,
     cache: "bool | None" = None,
     cache_dir: str | None = None,
-    schedule: str = "scc",
-    pointer_summaries: bool = False,
     progress=None,
 ) -> CorpusReport:
     """Lift every binary and library function; aggregate per directory.
@@ -375,8 +373,7 @@ def run_corpus(
 
     use_cache = bool(cache) if cache is not None else ambient_enabled()
     tasks = _corpus_tasks(corpus, timeout_seconds, max_states,
-                          obs, obs_sampling, use_cache, cache_dir, schedule,
-                          pointer_summaries)
+                          obs, obs_sampling, use_cache, cache_dir)
 
     emitter = as_emitter(progress)
     prior = (_obs_tracer.enabled, _obs_tracer.sampling)

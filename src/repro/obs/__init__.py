@@ -11,7 +11,7 @@ Typical uses::
 
     from repro import obs
 
-    obs.enable()                  # default sampling (bench-verified <=5%)
+    obs.enable()                  # default sampling (CI-verified <=5%)
     result = lift(binary)
     print(obs.tracer.events())    # the raw event stream
     obs.disable()

@@ -39,7 +39,7 @@ from typing import Any, Iterator, NamedTuple
 DEFAULT_CAPACITY = 1 << 16
 
 #: Default sampling level for high-frequency event kinds: record 1 in N.
-#: The bench harness verifies the enabled-overhead bound at this level.
+#: CI's obs-smoke job verifies the enabled-overhead bound at this level.
 DEFAULT_SAMPLING = 16
 
 

@@ -1,20 +1,21 @@
-"""Performance layer: counters, cache registry, and the benchmark harness.
+"""Performance layer: counters and the cache registry.
 
 Every memoization table in the hot path (expression interning, the
 canonical-sum memo, ``linearize``, the SMT verdict cache) registers itself
 here so that:
 
-* :func:`reset_caches` gives tests and the benchmark harness a clean slate
-  (no cross-test bleed through interning tables or memos);
-* :func:`cache_stats` aggregates hit/miss statistics for the ``bench``
-  report without each module exposing its own accessors.
+* :func:`reset_caches` gives tests and the benchmark (``perfbench/``) a
+  clean slate (no cross-test bleed through interning tables or memos);
+* :func:`cache_stats` aggregates hit/miss statistics for the benchmark's
+  per-layer metrics and ``repro profile`` without each module exposing
+  its own accessors.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.perf.counters import PerfCounters, counters, gated, hit_rate
+from repro.perf.counters import PerfCounters, counters, gated
 
 #: name -> (stats_fn, clear_fn).  stats_fn returns a small dict
 #: (e.g. {"hits": h, "misses": m, "size": n}); clear_fn drops the cache.
@@ -55,6 +56,6 @@ def reset_caches() -> None:
 
 
 __all__ = [
-    "PerfCounters", "counters", "gated", "hit_rate",
+    "PerfCounters", "counters", "gated",
     "register_cache", "register_lru", "cache_stats", "reset_caches",
 ]

@@ -76,8 +76,3 @@ def gated(counter: str, n: int = 1) -> None:
     if c.enabled:
         setattr(c, counter, getattr(c, counter) + n)
 
-
-def hit_rate(hits: int, misses: int) -> float:
-    """``hits / (hits + misses)`` guarded against empty caches."""
-    total = hits + misses
-    return hits / total if total else 0.0

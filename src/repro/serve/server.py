@@ -520,8 +520,7 @@ class Server:
     def submit(self, spec: dict, tenant: str) -> dict:
         """Validate + enqueue one job; the core of the ``submit`` op.
 
-        Returns the response dict.  Also the in-process entry point the
-        bench harness uses (no socket round-trip)."""
+        Returns the response dict."""
         try:
             protocol.validate_job_spec(spec)
         except protocol.ProtocolError as exc:

@@ -54,13 +54,24 @@ def stratum_tasks() -> dict[str, tuple[str, object, str | None]]:
     return dict(sorted(picked.items()))
 
 
-def lift_counting_joins(task) -> tuple[object, int]:
+def recorded_strata() -> list[str]:
+    """The strata the fixture records, readable at collection time (for
+    tests elsewhere that parametrize over the same 25 tasks)."""
+    with open(FIXTURE) as handle:
+        return sorted(json.load(handle))
+
+
+def lift_task(task, **options):
+    """Lift one stratum task under :data:`BUDGETS`, store off."""
     _, binary, function = task
-    before = counters.lift_joins
     if function is None:
-        result = lift(binary, cache=False, **BUDGETS)
-    else:
-        result = lift_function(binary, function, cache=False, **BUDGETS)
+        return lift(binary, cache=False, **BUDGETS, **options)
+    return lift_function(binary, function, cache=False, **BUDGETS, **options)
+
+
+def lift_counting_joins(task) -> tuple[object, int]:
+    before = counters.lift_joins
+    result = lift_task(task)
     return result, counters.lift_joins - before
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.perf import cache_stats, hit_rate, reset_caches
+from repro.perf import cache_stats, reset_caches
 from repro.perf.counters import PerfCounters, counters
 
 
@@ -117,7 +117,3 @@ def test_no_cross_test_bleed_through_intern_tables():
     # ... and pre-reset nodes stay comparable via the structural fallback.
     assert first == second and hash(first) == hash(second)
 
-
-def test_hit_rate_guards_empty():
-    assert hit_rate(0, 0) == 0.0
-    assert hit_rate(3, 1) == 0.75

@@ -43,7 +43,9 @@ from repro.analysis.pointer.domain import (
 )
 from repro.analysis.pointer.feedback import SummaryOracle
 from repro.analysis.pointer.transfer import collect_facts, pointer_problem
-from repro.corpus.feedback import flag_loop, keeps_loop
+from repro.corpus.feedback import flag_loop, keeps_loop, pure_chain
+from repro.eval.runner import _outcome as outcome_class
+from tests.test_join_digests import lift_task, recorded_strata, stratum_tasks
 
 
 # -- the domain ----------------------------------------------------------------
@@ -278,7 +280,7 @@ def test_summary_oracle_filters_top_and_missing():
     assert oracle.for_external("memcpy") is None
 
 
-@pytest.mark.parametrize("builder", [flag_loop, keeps_loop])
+@pytest.mark.parametrize("builder", [flag_loop, keeps_loop, pure_chain])
 def test_feedback_lift_preserves_verdict_and_annotations(builder):
     binary = builder()
     base = lift_uncached(binary)
@@ -290,6 +292,22 @@ def test_feedback_lift_preserves_verdict_and_annotations(builder):
     assert delta.get("pointer_refined_havocs", 0) > 0
     # The refined lift declares its analysis input.
     assert any(a.kind == "pointer-summary" for a in refined.assumptions)
+
+
+@pytest.fixture(scope="module")
+def strata() -> dict:
+    return stratum_tasks()
+
+
+@pytest.mark.parametrize("stratum", recorded_strata())
+def test_summaries_keep_the_verdict_of_every_stratum(strata, stratum):
+    # One corpus task per template kind: the refinement must reach the
+    # same outcome (lifted, or the same rejection class) and must not add
+    # annotations.
+    base = lift_task(strata[stratum])
+    refined = lift_task(strata[stratum], pointer_summaries=True)
+    assert outcome_class(refined) == outcome_class(base)
+    assert len(refined.annotations) <= len(base.annotations)
 
 
 def test_feedback_lift_through_cache_layer(tmp_path):
