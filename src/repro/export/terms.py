@@ -39,8 +39,21 @@ def _sanitize(name: str) -> str:
     return text
 
 
-def to_isabelle(expr: Expr) -> str:
-    """Render *expr* as an Isabelle/HOL term string."""
+def to_isabelle(expr: Expr, memo: dict | None = None) -> str:
+    """Render *expr* as an Isabelle/HOL term string.
+
+    *memo* maps terms to their renderings; a caller rendering many terms
+    that share subterms (a whole theory) passes one dict for all of them,
+    so each distinct term is rendered once."""
+    if memo is None:
+        memo = {}
+    text = memo.get(expr)
+    if text is None:
+        text = memo[expr] = _render(expr, memo)
+    return text
+
+
+def _render(expr: Expr, memo: dict) -> str:
     if isinstance(expr, Const):
         return f"({expr.value:#x} :: {expr.width} word)"
     if isinstance(expr, Var):
@@ -50,15 +63,15 @@ def to_isabelle(expr: Expr) -> str:
     if isinstance(expr, FlagRef):
         return f"(flag σ ''{expr.name}'')"
     if isinstance(expr, Deref):
-        return f"(read_mem mem₀ {to_isabelle(expr.addr)} {expr.size})"
+        return f"(read_mem mem₀ {to_isabelle(expr.addr, memo)} {expr.size})"
     if isinstance(expr, App):
-        return _app_to_isabelle(expr)
+        return _app_to_isabelle(expr, memo)
     raise TypeError(f"unknown expression {expr!r}")
 
 
-def _app_to_isabelle(expr: App) -> str:
+def _app_to_isabelle(expr: App, memo: dict) -> str:
     op = expr.op
-    args = [to_isabelle(arg) for arg in expr.args]
+    args = [to_isabelle(arg, memo) for arg in expr.args]
     if op in _OP_NAMES and len(expr.args) >= 2:
         joined = f" {_OP_NAMES[op]} ".join(args)
         return f"({joined})"

@@ -455,9 +455,18 @@ def is_constant_expr(expr: Expr) -> bool:
     return not any(isinstance(node, (RegRef, FlagRef)) for node in expr.walk())
 
 
+@lru_cache(maxsize=1 << 16)
 def variables_of(expr: Expr) -> frozenset[Var]:
-    """All Var leaves of *expr*."""
-    return frozenset(node for node in expr.walk() if isinstance(node, Var))
+    """All Var leaves of *expr* (memoized, so shared subtrees are visited
+    once)."""
+    if isinstance(expr, Var):
+        return frozenset((expr,))
+    children = expr.children()
+    if not children:
+        return frozenset()
+    if len(children) == 1:
+        return variables_of(children[0])
+    return frozenset().union(*map(variables_of, children))
 
 
 @lru_cache(maxsize=131072)
@@ -474,3 +483,4 @@ def expr_key(expr: Expr) -> str:
 
 register_lru("expr.key", expr_key)
 register_lru("expr.varnames", variable_names)
+register_lru("expr.vars", variables_of)

@@ -630,7 +630,6 @@ class _Lifter:
         summary = lookup()
         if summary is None:
             return None
-        _gated("pointer_summary_hits")
         self.assumptions.add(Assumption(
             "pointer-summary",
             f"call to {callee} at {rip:#x} cleaned per {summary}",

@@ -15,7 +15,7 @@ semantics: shared code would make differential testing vacuous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 from repro.elf import Binary
@@ -23,6 +23,7 @@ from repro.isa import Instruction, Imm, Mem, Reg, condition_of
 from repro.isa.registers import GPR64, family_of, reg_width, with_width
 
 MASK64 = (1 << 64) - 1
+_TOP = 1 << 64
 
 
 def _mask(width: int) -> int:
@@ -47,6 +48,15 @@ class Memory:
     bytes: dict[int, int] = field(default_factory=dict)
 
     def read(self, addr: int, size: int) -> int:
+        # Written bytes first: a read of bytes that were all written (the
+        # common case) is one dict lookup per byte, no section scan.
+        if 0 <= addr and addr + size <= _TOP:
+            try:
+                return int.from_bytes(
+                    bytes(map(self.bytes.__getitem__, range(addr, addr + size))),
+                    "little")
+            except KeyError:
+                pass
         value = 0
         for i in range(size):
             value |= self._read_byte((addr + i) & MASK64) << (8 * i)
@@ -65,6 +75,9 @@ class Memory:
         for i in range(size):
             self.bytes[(addr + i) & MASK64] = (value >> (8 * i)) & 0xFF
 
+
+#: The status flags the emulator models, in the order a CPU holds them.
+FLAGS = ("cf", "zf", "sf", "of", "pf")
 
 #: Default initial stack pointer (16-byte aligned, well above the binary).
 STACK_TOP = 0x7FFF_FFF0_0000
@@ -85,13 +98,19 @@ class CPU:
     extern_handlers: dict[str, Callable[["CPU"], None]] = field(default_factory=dict)
     trace: list[int] = field(default_factory=list)
     max_steps: int = 1_000_000
+    #: False builds the CPU in exactly the given state: the caller passes
+    #: every register of GPR64, every flag, the memory and a rip, and an
+    #: rsp of 0 stays 0 (no stack top, no sentinel return address).
+    fill_defaults: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, fill_defaults: bool) -> None:
+        if not fill_defaults:
+            return
         if self.memory is None:
             self.memory = Memory(self.binary)
         for reg in GPR64:
             self.regs.setdefault(reg, 0)
-        for flag in ("cf", "zf", "sf", "of", "pf"):
+        for flag in FLAGS:
             self.flags.setdefault(flag, 0)
         if not self.rip:
             self.rip = self.binary.entry

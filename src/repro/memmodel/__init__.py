@@ -5,14 +5,14 @@ from repro.memmodel.model import (
     InsResult,
     MemModel,
     MemTree,
+    compile_model,
     ins,
     join_models,
     model_holds,
     relation_in_model,
-    tree_holds,
 )
 
 __all__ = [
-    "EMPTY", "InsResult", "MemModel", "MemTree", "ins", "join_models",
-    "model_holds", "relation_in_model", "tree_holds",
+    "EMPTY", "InsResult", "MemModel", "MemTree", "compile_model", "ins",
+    "join_models", "model_holds", "relation_in_model",
 ]

@@ -24,7 +24,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.expr import EvalEnv, EvalError, Expr, compile_expr
+from repro.expr import Deref, EvalEnv, EvalError, Expr, compile_expr
 from repro.expr.ast import expr_key
 from repro.obs.metrics import metrics as _M
 from repro.obs.tracer import tracer as _T
@@ -510,11 +510,6 @@ def _region_paths(model: MemModel) -> dict[Region, tuple[MemTree, ...]]:
 # overlaps nothing.  Spans are not wrapped at 2**64, as the byte sets were
 # not.
 
-def _region_span(region: Region, env: EvalEnv) -> tuple[int, int]:
-    addr = compile_expr(region.addr)(env)
-    return addr, addr + region.size
-
-
 def _span_empty(span: tuple[int, int]) -> bool:
     return span[1] <= span[0]
 
@@ -531,50 +526,150 @@ def _span_within(inner: tuple[int, int], outer: tuple[int, int]) -> bool:
     return outer[0] <= inner[0] and inner[1] <= outer[1]
 
 
-def _spans_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return max(a[0], b[0]) < min(a[1], b[1])
-
-
-def tree_holds(tree: MemTree, env: EvalEnv) -> bool:
-    try:
-        spans = [_region_span(region, env) for region in tree.regions]
-    except EvalError:
-        return False
-    first = spans[0]
-    if any(not _spans_equal(span, first) for span in spans[1:]):
-        return False
-    for child in tree.children:
-        try:
-            child_span = _region_span(child.representative(), env)
-        except EvalError:
+def _spans_separate(spans) -> bool:
+    """No two non-empty spans overlap.  Sorted by start, a set of spans
+    has an overlapping pair exactly when some span starts before its
+    predecessor ends."""
+    live = sorted([span for span in spans if span[0] < span[1]])
+    end = -1
+    for lo, hi in live:
+        if lo < end:
             return False
-        if not _span_within(child_span, first):
-            return False
-        if not tree_holds(child, env):
-            return False
-    # Sibling children must be pairwise separate.
-    return forest_separate(tree.children, env)
-
-
-def forest_separate(trees, env: EvalEnv) -> bool:
-    spans = []
-    for tree in trees:
-        try:
-            spans.append(_region_span(tree.representative(), env))
-        except EvalError:
-            return False
-    for i, left in enumerate(spans):
-        for right in spans[i + 1:]:
-            if _spans_overlap(left, right):
-                return False
+        end = hi
     return True
 
 
 def model_holds(model: MemModel, env: EvalEnv) -> bool:
     """``s ⊢ M`` (Definition 3.9); destroyed regions impose nothing."""
-    if not forest_separate(model.trees, env):
-        return False
-    return all(tree_holds(tree, env) for tree in model.trees)
+    return compile_model(model)(env)
+
+
+@lru_cache(maxsize=1 << 12)
+def compile_model(model: MemModel):
+    """A closure ``env -> bool`` deciding ``s ⊢ M`` (memoized).
+
+    The closure evaluates region addresses in the order of the tree walk
+    the definition reads as: the top-level trees' representatives, then
+    per tree (in the forest's iteration order) every region of its node,
+    then per child its representative and the child's own walk, then the
+    children's representatives again.  It stops where that walk stops: at
+    the first failed check or unresolvable address.  The order is part of
+    the Step-2 witness stream, because an address that reads initial
+    memory draws its unseen bytes at random, lazily.  An address that
+    reads no memory is evaluated once per call and its span reused; one
+    that reads memory is evaluated at every point the walk evaluates it,
+    so the reads repeat too.  Top-level and sibling separation is decided
+    on the sorted spans."""
+    program = _ModelProgram()
+    program.forest(model.trees)
+    for tree in model.trees:
+        program.tree(tree)
+    steps = program.finish()
+    slots = len(program.slots)
+
+    def check(env: EvalEnv) -> bool:
+        spans = [None] * slots
+        try:
+            for step in steps:
+                if not step(env, spans):
+                    return False
+        except EvalError:
+            return False
+        return True
+
+    return check
+
+
+register_lru("memmodel.compiled", compile_model)
+
+
+class _ModelProgram:
+    """The steps of one model's satisfaction check, in walk order.
+
+    Each step is a closure ``(env, spans) -> bool`` over a per-call list
+    of spans indexed by region slot; consecutive address evaluations are
+    merged into one step."""
+
+    def __init__(self) -> None:
+        self.slots: dict[Region, int] = {}
+        self.steps: list = []
+        self._evals: list[tuple[int, object, int]] = []
+
+    def span(self, region: Region) -> int:
+        """The slot holding *region*'s span once this point is reached."""
+        slot = self.slots.get(region)
+        if slot is None:
+            slot = self.slots[region] = len(self.slots)
+        elif not _reads_memory(region.addr):
+            return slot
+        self._evals.append((slot, compile_expr(region.addr), region.size))
+        return slot
+
+    def check(self, step) -> None:
+        self._flush()
+        self.steps.append(step)
+
+    def finish(self) -> tuple:
+        self._flush()
+        return tuple(self.steps)
+
+    def _flush(self) -> None:
+        if self._evals:
+            self.steps.append(_eval_step(tuple(self._evals)))
+            self._evals = []
+
+    def forest(self, trees) -> None:
+        """Sibling trees are pairwise separate."""
+        slots = tuple(self.span(tree.representative()) for tree in trees)
+        if len(slots) > 1:
+            self.check(_separate_step(slots))
+
+    def tree(self, tree: MemTree) -> None:
+        """A node's regions alias; each child lies inside the node and
+        holds; the children are separate."""
+        first, *others = [self.span(region) for region in tree.regions]
+        if others:
+            self.check(_equal_step(first, tuple(others)))
+        for child in tree.children:
+            self.check(_within_step(self.span(child.representative()), first))
+            self.tree(child)
+        self.forest(tree.children)
+
+
+def _reads_memory(addr: Expr) -> bool:
+    return any(isinstance(node, Deref) for node in addr.walk())
+
+
+def _eval_step(evals: tuple):
+    def step(env: EvalEnv, spans: list) -> bool:
+        for slot, addr_fn, size in evals:
+            addr = addr_fn(env)
+            spans[slot] = (addr, addr + size)
+        return True
+
+    return step
+
+
+def _equal_step(first: int, others: tuple[int, ...]):
+    def step(env: EvalEnv, spans: list) -> bool:
+        span = spans[first]
+        return all(_spans_equal(spans[other], span) for other in others)
+
+    return step
+
+
+def _within_step(inner: int, outer: int):
+    def step(env: EvalEnv, spans: list) -> bool:
+        return _span_within(spans[inner], spans[outer])
+
+    return step
+
+
+def _separate_step(slots: tuple[int, ...]):
+    def step(env: EvalEnv, spans: list) -> bool:
+        return _spans_separate([spans[slot] for slot in slots])
+
+    return step
 
 
 # -- join (Definition 3.12) -----------------------------------------------------------

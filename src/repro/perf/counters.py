@@ -25,9 +25,7 @@ class PerfCounters:
         "cache_lift_hits",       # persistent lift-store hits
         "cache_lift_misses",     # persistent lift-store misses
         "cache_lift_stores",     # persistent lift-store writes
-        "pointer_summary_hits",  # call sites refined by a pointer summary
         "pointer_refined_havocs",  # cleaning havocs that kept extra clauses
-        "pointer_top_summaries",   # functions degraded to the TOP summary
     )
 
     __slots__ = _FIELDS + ("enabled",)

@@ -11,16 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.expr import EvalEnv, EvalError, const, evaluate, simplify as s, var
+from repro.expr import (
+    Deref, EvalEnv, EvalError, const, evaluate, simplify as s, var,
+)
 from repro.memmodel import (
     EMPTY,
     MemModel,
     MemTree,
+    compile_model,
     ins,
     join_models,
     model_holds,
     relation_in_model,
-    tree_holds,
 )
 from repro.smt.solver import Region, Relation
 
@@ -372,6 +374,67 @@ def _reference_model_holds(model: MemModel, env) -> bool:
         _reference_tree_holds(tree, env) for tree in model.trees)
 
 
+# -- the tree walk: the order compile_model evaluates addresses in ---------------
+#
+# The definition read as a walk over intervals, stopping at the first failed
+# check or unresolvable address.  compile_model must evaluate every address
+# at the same points of this walk: an address that reads initial memory
+# draws unseen bytes at random during Step-2 replay, so the order is part of
+# the witness stream.
+
+
+def _walk_span(region: Region, env) -> tuple[int, int]:
+    addr = evaluate(region.addr, env)
+    return addr, addr + region.size
+
+
+def _walk_equal(a, b) -> bool:
+    if a[1] <= a[0] or b[1] <= b[0]:
+        return a[1] <= a[0] and b[1] <= b[0]
+    return a == b
+
+
+def _walk_within(inner, outer) -> bool:
+    return inner[1] <= inner[0] or (outer[0] <= inner[0]
+                                    and inner[1] <= outer[1])
+
+
+def walk_tree_holds(tree: MemTree, env) -> bool:
+    try:
+        spans = [_walk_span(region, env) for region in tree.regions]
+    except EvalError:
+        return False
+    first = spans[0]
+    if any(not _walk_equal(span, first) for span in spans[1:]):
+        return False
+    for child in tree.children:
+        try:
+            child_span = _walk_span(child.representative(), env)
+        except EvalError:
+            return False
+        if not _walk_within(child_span, first):
+            return False
+        if not walk_tree_holds(child, env):
+            return False
+    return walk_forest_separate(tree.children, env)
+
+
+def walk_forest_separate(trees, env) -> bool:
+    spans = []
+    for tree in trees:
+        try:
+            spans.append(_walk_span(tree.representative(), env))
+        except EvalError:
+            return False
+    return all(max(left[0], right[0]) >= min(left[1], right[1])
+               for i, left in enumerate(spans) for right in spans[i + 1:])
+
+
+def walk_model_holds(model: MemModel, env) -> bool:
+    return walk_forest_separate(model.trees, env) and all(
+        walk_tree_holds(tree, env) for tree in model.trees)
+
+
 _TOP = 1 << 64
 _BASES = st.sampled_from([RDI0, RSI0, var("unbound")])
 _REGIONS = st.builds(
@@ -393,23 +456,30 @@ _ADDRESSES = st.sampled_from(
 def test_prop_span_checks_match_byte_sets(trees, rdi0, rsi0):
     model = MemModel(trees)
     env = env_with(rdi0=rdi0, rsi0=rsi0)
-    assert model_holds(model, env) == _reference_model_holds(model, env)
+    expected = _reference_model_holds(model, env)
+    assert model_holds(model, env) == expected
+    assert compile_model(model)(env) == expected
+    assert walk_model_holds(model, env) == expected
     for tree in trees:
-        assert tree_holds(tree, env) == _reference_tree_holds(tree, env)
+        assert walk_tree_holds(tree, env) == _reference_tree_holds(tree, env)
 
 
 def test_empty_regions_behave_as_empty_byte_sets():
     empty_a, empty_b = Region(RDI0, 0), Region(RSI0, 0)
     full = Region(RSI0, 8)
     env = env_with(rdi0=0x1004, rsi0=0x1000)
+
+    def single(tree):
+        return MemModel(frozenset({tree}))
+
     # Two empty spans are equal wherever they sit; empty vs full is not.
-    assert tree_holds(MemTree(frozenset({empty_a, empty_b})), env)
-    assert not tree_holds(MemTree(frozenset({empty_a, full})), env)
+    assert model_holds(single(MemTree(frozenset({empty_a, empty_b}))), env)
+    assert not model_holds(single(MemTree(frozenset({empty_a, full}))), env)
     # An empty child lies inside any parent, even one it does not touch.
     parent = MemTree(frozenset({full}),
                      frozenset({MemTree.leaf(Region(var("rdx0"), 0))}))
-    assert tree_holds(parent, EvalEnv(variables={"rsi0": 0x1000,
-                                                 "rdx0": 0x9000}))
+    assert model_holds(single(parent),
+                       EvalEnv(variables={"rsi0": 0x1000, "rdx0": 0x9000}))
     # An empty sibling overlaps nothing, even at the same address.
     model = MemModel(frozenset({MemTree.leaf(full),
                                 MemTree.leaf(Region(RDI0, 0))}))
@@ -424,3 +494,82 @@ def test_spans_past_two_to_the_64_do_not_wrap():
     assert model_holds(model, env)
     clash = env_with(rdi0=_TOP - 4, rsi0=_TOP - 2)
     assert not model_holds(model, clash)
+
+
+# -- read order: compile_model against the tree walk ----------------------------
+
+#: Pointer cells: region i's address is the pointer stored in cell i.
+_CELL = 0x8000
+
+
+def _via_cell(index: int, size: int) -> Region:
+    return Region(Deref(const(_CELL + 8 * index), 8), size)
+
+
+#: Two aliasing 16-byte regions (cells 0, 1) enclosing two 8-byte halves
+#: (cells 2, 3), a separate leaf (cell 4) and a leaf at a plain variable.
+_CELL_MODEL = MemModel(frozenset({
+    MemTree(frozenset({_via_cell(0, 16), _via_cell(1, 16)}),
+            frozenset({MemTree.leaf(_via_cell(2, 8)),
+                       MemTree.leaf(_via_cell(3, 8))})),
+    MemTree.leaf(_via_cell(4, 8)),
+    MemTree.leaf(Region(RSI0, 8)),
+}))
+_CELLS = {0: 0x1000, 1: 0x1000, 2: 0x1000, 3: 0x1008, 4: 0x2000}
+
+
+def _logging_env(cells: dict[int, int], **variables):
+    log: list[tuple[int, int]] = []
+
+    def read(addr: int, size: int) -> int:
+        log.append((addr, size))
+        return cells[(addr - _CELL) // 8]
+
+    return EvalEnv(variables=variables, read_mem=read), log
+
+
+@pytest.mark.parametrize("change, holds", [
+    ({}, True),
+    ({4: 0x1004}, False),           # top-level siblings overlap
+    ({1: 0x1010}, False),           # node-mates do not alias
+    ({3: 0x1010}, False),           # a child leaves its parent
+    ({3: 0x1004}, False),           # sibling children overlap
+    ({"unbound": True}, False),     # an address cannot be evaluated
+])
+def test_compiled_check_reads_what_the_tree_walk_reads(change, holds):
+    cells = {**_CELLS, **{k: v for k, v in change.items() if k != "unbound"}}
+    variables = {} if "unbound" in change else {"rsi0": 0x3000}
+    env, log = _logging_env(cells, **variables)
+    ref_env, ref_log = _logging_env(cells, **variables)
+    assert walk_model_holds(_CELL_MODEL, ref_env) is holds
+    assert compile_model(_CELL_MODEL)(env) is holds
+    assert log == ref_log
+    if holds:
+        assert len(set(log)) == 5
+
+
+_CELL_REGIONS = st.builds(
+    lambda index, size: _via_cell(index, size),
+    st.integers(0, 5), st.sampled_from([0, 4, 8, 16]))
+_CELL_TREES = st.recursive(
+    st.builds(MemTree, st.frozensets(_CELL_REGIONS | _REGIONS,
+                                     min_size=1, max_size=3)),
+    lambda children: st.builds(
+        MemTree, st.frozensets(_CELL_REGIONS, min_size=1, max_size=2),
+        st.frozensets(children, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees=st.frozensets(_CELL_TREES, max_size=3),
+       cells=st.lists(st.sampled_from([0x1000, 0x1004, 0x1008, 0x1010]),
+                      min_size=6, max_size=6),
+       rdi0=_ADDRESSES)
+def test_prop_compiled_check_reads_what_the_tree_walk_reads(trees, cells,
+                                                            rdi0):
+    model = MemModel(trees)
+    cells = dict(enumerate(cells))
+    env, log = _logging_env(cells, rdi0=rdi0, rsi0=0x1000)
+    ref_env, ref_log = _logging_env(cells, rdi0=rdi0, rsi0=0x1000)
+    assert compile_model(model)(env) == walk_model_holds(model, ref_env)
+    assert log == ref_log

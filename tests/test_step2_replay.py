@@ -4,6 +4,7 @@ that do not depend on the hash seed."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,9 +12,12 @@ import random
 import subprocess
 import sys
 
-from repro.export.checker import _WitnessSampler, build_witness, check_triples
+from repro.export.checker import (
+    _WitnessSampler, _draw, _randint_bits, build_witness, check_triples,
+)
 from repro.hoare import lift
-from repro.machine.cpu import CPU
+from repro.expr import const
+from repro.machine.cpu import CPU, STACK_TOP
 from repro.perf import cache_stats, reset_caches
 from repro.qa import faults
 from repro.qa.targets import build_target
@@ -45,6 +49,34 @@ def test_one_plan_draws_the_same_witnesses_as_a_fresh_plan_per_attempt():
                                   rng_fresh)
             assert _witness_digest(reused) == _witness_digest(fresh), key
         assert rng_shared.getstate() == rng_fresh.getstate()
+
+
+def test_a_witness_keeps_a_sampled_rsp_of_zero():
+    # The witness CPU is built in exactly the sampled state: an rsp of 0
+    # is not replaced by the emulator's default stack, and no stack
+    # sentinel is written into the witness's memory.
+    result = lift(build_target("guard"))
+    _, state = min(result.graph.vertices.items(), key=str)
+    regs = tuple((reg, const(0) if reg == "rsp" else value)
+                 for reg, value in state.pred.regs)
+    zero = state.with_pred(dataclasses.replace(state.pred, regs=regs))
+    witness = build_witness(_WitnessSampler(zero), result.binary,
+                            random.Random(7))
+    assert witness is not None
+    cpu, env = witness
+    assert cpu.regs["rsp"] == 0 and env.registers["rsp"] == 0
+    assert STACK_TOP not in cpu.memory.bytes
+
+
+def test_bounded_draws_make_the_rng_calls_of_randint():
+    # Witness values are drawn with getrandbits directly; each draw must
+    # consume and return exactly what randint would, or the stream moves.
+    for lo, hi in ((0, 64), (0, 255), (5, 5), (-3, 40), (0, (1 << 32) - 2)):
+        drawn, reference = random.Random(lo ^ hi), random.Random(lo ^ hi)
+        for _ in range(50):
+            value = lo + _draw(drawn, *_randint_bits(lo, hi))
+            assert value == reference.randint(lo, hi)
+        assert drawn.getstate() == reference.getstate()
 
 
 #: sha256 of the first three witnesses drawn from every state of the

@@ -9,6 +9,11 @@ must contain both the intended jump-table edges and the ROP-gadget edge.
 
 from __future__ import annotations
 
+import os
+import re
+import subprocess
+import sys
+
 import pytest
 
 from repro import lift
@@ -16,8 +21,7 @@ from repro.elf import BinaryBuilder
 from repro.isa import Imm, Mem, abs32, abs64, insn
 
 
-@pytest.fixture(scope="module")
-def weird_binary():
+def build_weird_binary():
     builder = BinaryBuilder("weird")
     t = builder.text
     t.label("main")
@@ -45,6 +49,11 @@ def weird_binary():
     for index in range(0xC4):
         rod.quad(abs64("case0" if index % 2 == 0 else "case1"))
     return builder.build(entry="main")
+
+
+@pytest.fixture(scope="module")
+def weird_binary():
+    return build_weird_binary()
 
 
 def test_cmp_encoding_contains_ret_byte(weird_binary):
@@ -134,3 +143,35 @@ def test_overapproximation_covers_concrete_normal_run(weird_binary):
     cpu.run(max_steps=100)
     assert cpu.exit_code == 10          # case0
     assert set(cpu.trace) <= set(result.instructions)
+
+
+# -- the exported theory ------------------------------------------------------
+
+_EXPORTER = """
+from repro import lift
+from repro.export import export_theory
+from tests.test_weird_edges import build_weird_binary
+
+print(export_theory(lift(build_weird_binary(), max_targets=4096)), end="")
+"""
+
+
+def _theory_under_seed(seed: int) -> str:
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONHASHSEED=str(seed),
+               PYTHONPATH=os.pathsep.join([os.path.join(repo, "src"), repo]))
+    out = subprocess.run([sys.executable, "-c", _EXPORTER], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300)
+    return out.stdout
+
+
+def test_theory_text_does_not_depend_on_the_hash_seed():
+    # The jmp vertices hold text immediates in memory, so their keys carry
+    # the memory model (five-element keys); their definition names must
+    # not come from a salted hash of it.
+    first, *others = (_theory_under_seed(seed) for seed in (1, 2, 3))
+    assert all(other == first for other in others)
+    names = re.findall(r'^definition "(\w+) ', first, flags=re.M)
+    assert len(names) == len(set(names))
+    assert sum("_m" in name for name in names) > 1
