@@ -206,28 +206,18 @@ class _WitnessSampler:
         return compile_expr(group[0].addr), moves
 
     def sample_variables(self, rng: random.Random) -> dict[str, int] | None:
-        getrandbits = rng.getrandbits
         variables: dict[str, int] = {}
         for name, kind, data in self.variables:
             if kind is _FIXED:
                 variables[name] = data
             elif kind is _FREE:
-                # _guided_value without clauses, inlined: both draws, and
+                # _guided_value without clauses: both draws are made and
                 # the spread pointer-ish value is taken.
-                n, bits = _PAGE
-                page = getrandbits(bits)
-                while page >= n:
-                    page = getrandbits(bits)
-                n, bits = _SMALL
-                while getrandbits(bits) >= n:
-                    pass
-                variables[name] = SCRATCH_BASE + 0x1000 * page
+                variables[name] = SCRATCH_BASE + 0x1000 * _draw(rng, *_PAGE)
+                _draw(rng, *_SMALL)
             elif kind is _BOUNDED:
                 lo, n, bits = data
-                value = getrandbits(bits)
-                while value >= n:
-                    value = getrandbits(bits)
-                variables[name] = lo + value
+                variables[name] = lo + _draw(rng, n, bits)
             else:
                 variables[name] = _guided_value(name, data, rng)
 
@@ -350,10 +340,11 @@ def build_witness(
     else:
         flags = {name: getrandbits(1) for name in FLAGS}
 
-    rip = state.rip or binary.entry
-    cpu = CPU(binary, regs=regs, flags=flags, memory=memory, rip=rip,
-              fill_defaults=False)
-    env.registers = {**regs, "rip": rip}
+    # Assigned after construction: the defaults CPU() fills in (a stack
+    # top for an rsp of 0, its sentinel return address) are not sampled.
+    cpu = CPU(binary, rip=state.rip or 0)
+    cpu.regs, cpu.flags, cpu.memory = regs, flags, memory
+    env.registers = {**regs, "rip": cpu.rip}
     if not state.pred.holds(env, read_current=memory.read):
         return None
     if not model_holds(state.model, env):

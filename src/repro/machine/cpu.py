@@ -15,7 +15,7 @@ semantics: shared code would make differential testing vacuous.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.elf import Binary
@@ -98,14 +98,8 @@ class CPU:
     extern_handlers: dict[str, Callable[["CPU"], None]] = field(default_factory=dict)
     trace: list[int] = field(default_factory=list)
     max_steps: int = 1_000_000
-    #: False builds the CPU in exactly the given state: the caller passes
-    #: every register of GPR64, every flag, the memory and a rip, and an
-    #: rsp of 0 stays 0 (no stack top, no sentinel return address).
-    fill_defaults: InitVar[bool] = True
 
-    def __post_init__(self, fill_defaults: bool) -> None:
-        if not fill_defaults:
-            return
+    def __post_init__(self) -> None:
         if self.memory is None:
             self.memory = Memory(self.binary)
         for reg in GPR64:

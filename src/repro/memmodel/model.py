@@ -24,7 +24,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.expr import Deref, EvalEnv, EvalError, Expr, compile_expr
+from repro.expr import EvalEnv, EvalError, Expr, compile_expr
 from repro.expr.ast import expr_key
 from repro.obs.metrics import metrics as _M
 from repro.obs.tracer import tracer as _T
@@ -548,34 +548,33 @@ def model_holds(model: MemModel, env: EvalEnv) -> bool:
 def compile_model(model: MemModel):
     """A closure ``env -> bool`` deciding ``s ⊢ M`` (memoized).
 
-    The closure evaluates region addresses in the order of the tree walk
-    the definition reads as: the top-level trees' representatives, then
-    per tree (in the forest's iteration order) every region of its node,
-    then per child its representative and the child's own walk, then the
-    children's representatives again.  It stops where that walk stops: at
-    the first failed check or unresolvable address.  The order is part of
-    the Step-2 witness stream, because an address that reads initial
-    memory draws its unseen bytes at random, lazily.  An address that
-    reads no memory is evaluated once per call and its span reused; one
-    that reads memory is evaluated at every point the walk evaluates it,
-    so the reads repeat too.  Top-level and sibling separation is decided
-    on the sorted spans."""
-    program = _ModelProgram()
-    program.forest(model.trees)
-    for tree in model.trees:
-        program.tree(tree)
-    steps = program.finish()
-    slots = len(program.slots)
+    The closure is the tree walk of the definition: the top-level trees'
+    representatives are separate; then per tree, every region of its node
+    aliases the representative; per child, the child's representative
+    lies inside the node and the child holds; the children's
+    representatives are separate.  Trees and children are visited in
+    ``str`` order and a node's regions in ``region_key`` order, so the
+    order depends on the model's contents only, never on how its sets
+    happen to iterate (equal models share one closure).  Each region's
+    address is evaluated once, at the first point the walk needs it, and
+    the closure stops where the walk stops: at the first failed check or
+    unresolvable address.  The order is part of the Step-2 witness stream:
+    an address that reads initial memory draws its unseen bytes at random,
+    lazily.  Separation is decided on the sorted spans."""
+    trees = [_compile_tree(tree) for tree in _sorted(model.trees)]
+    reps = tuple(rep for rep, _ in trees)
+    # A single-region leaf holds whenever its span exists: no walk to run.
+    walks = tuple((i, holds) for i, (_, holds) in enumerate(trees)
+                  if holds is not None)
 
     def check(env: EvalEnv) -> bool:
-        spans = [None] * slots
         try:
-            for step in steps:
-                if not step(env, spans):
-                    return False
+            spans = [(lo := addr_fn(env), lo + size) for addr_fn, size in reps]
+            if not _spans_separate(spans):
+                return False
+            return all(holds(env, spans[i]) for i, holds in walks)
         except EvalError:
             return False
-        return True
 
     return check
 
@@ -583,93 +582,33 @@ def compile_model(model: MemModel):
 register_lru("memmodel.compiled", compile_model)
 
 
-class _ModelProgram:
-    """The steps of one model's satisfaction check, in walk order.
+def _compile_tree(tree: MemTree):
+    """``(representative, holds)`` for *tree*: the representative as
+    ``(address closure, size)``, and ``holds(env, span)`` given the
+    representative's span, or None for a single-region leaf.  Both raise
+    EvalError on an unresolvable address."""
+    rep, *others = [(compile_expr(region.addr), region.size)
+                    for region in sorted(tree.regions, key=region_key)]
+    if not others and not tree.children:
+        return rep, None
+    children = tuple(_compile_tree(child) for child in _sorted(tree.children))
 
-    Each step is a closure ``(env, spans) -> bool`` over a per-call list
-    of spans indexed by region slot; consecutive address evaluations are
-    merged into one step."""
+    def holds(env: EvalEnv, first: tuple[int, int]) -> bool:
+        spans = [(lo := addr_fn(env), lo + size) for addr_fn, size in others]
+        if not all(_spans_equal(span, first) for span in spans):
+            return False
+        child_spans = []
+        for (addr_fn, size), child_holds in children:
+            lo = addr_fn(env)
+            span = (lo, lo + size)
+            if not _span_within(span, first):
+                return False
+            if child_holds is not None and not child_holds(env, span):
+                return False
+            child_spans.append(span)
+        return _spans_separate(child_spans)
 
-    def __init__(self) -> None:
-        self.slots: dict[Region, int] = {}
-        self.steps: list = []
-        self._evals: list[tuple[int, object, int]] = []
-
-    def span(self, region: Region) -> int:
-        """The slot holding *region*'s span once this point is reached."""
-        slot = self.slots.get(region)
-        if slot is None:
-            slot = self.slots[region] = len(self.slots)
-        elif not _reads_memory(region.addr):
-            return slot
-        self._evals.append((slot, compile_expr(region.addr), region.size))
-        return slot
-
-    def check(self, step) -> None:
-        self._flush()
-        self.steps.append(step)
-
-    def finish(self) -> tuple:
-        self._flush()
-        return tuple(self.steps)
-
-    def _flush(self) -> None:
-        if self._evals:
-            self.steps.append(_eval_step(tuple(self._evals)))
-            self._evals = []
-
-    def forest(self, trees) -> None:
-        """Sibling trees are pairwise separate."""
-        slots = tuple(self.span(tree.representative()) for tree in trees)
-        if len(slots) > 1:
-            self.check(_separate_step(slots))
-
-    def tree(self, tree: MemTree) -> None:
-        """A node's regions alias; each child lies inside the node and
-        holds; the children are separate."""
-        first, *others = [self.span(region) for region in tree.regions]
-        if others:
-            self.check(_equal_step(first, tuple(others)))
-        for child in tree.children:
-            self.check(_within_step(self.span(child.representative()), first))
-            self.tree(child)
-        self.forest(tree.children)
-
-
-def _reads_memory(addr: Expr) -> bool:
-    return any(isinstance(node, Deref) for node in addr.walk())
-
-
-def _eval_step(evals: tuple):
-    def step(env: EvalEnv, spans: list) -> bool:
-        for slot, addr_fn, size in evals:
-            addr = addr_fn(env)
-            spans[slot] = (addr, addr + size)
-        return True
-
-    return step
-
-
-def _equal_step(first: int, others: tuple[int, ...]):
-    def step(env: EvalEnv, spans: list) -> bool:
-        span = spans[first]
-        return all(_spans_equal(spans[other], span) for other in others)
-
-    return step
-
-
-def _within_step(inner: int, outer: int):
-    def step(env: EvalEnv, spans: list) -> bool:
-        return _span_within(spans[inner], spans[outer])
-
-    return step
-
-
-def _separate_step(slots: tuple[int, ...]):
-    def step(env: EvalEnv, spans: list) -> bool:
-        return _spans_separate([spans[slot] for slot in slots])
-
-    return step
+    return rep, holds
 
 
 # -- join (Definition 3.12) -----------------------------------------------------------
