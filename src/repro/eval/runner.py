@@ -139,9 +139,14 @@ class CorpusReport:
 
 
 def _outcome(result: LiftResult) -> str:
-    if result.verified:
+    return _outcome_of(result.errors)
+
+
+def _outcome_of(errors) -> str:
+    """The Table 1 class of a lift that raised *errors*."""
+    if not errors:
         return "lifted"
-    kinds = {error.kind for error in result.errors}
+    kinds = {error.kind for error in errors}
     if "concurrency" in kinds:
         return "concurrency"
     if "timeout" in kinds:
@@ -223,14 +228,20 @@ def _run_task(
 
 def record_from_result(name: str, directory: str, kind: str,
                        result: LiftResult) -> FunctionRecord:
-    """The :class:`FunctionRecord` view of one lift — shared by the
-    runner's task path and the serve daemon's store-hit fast path, so a
-    cached answer is summarized exactly like a fresh one."""
-    outcome = _outcome(result)
-    stats = result.stats
+    """The :class:`FunctionRecord` view of one lift."""
+    return record_from_summary(name, directory, kind,
+                               result.stats, result.errors)
+
+
+def record_from_summary(name: str, directory: str, kind: str,
+                        stats, errors) -> FunctionRecord:
+    """The :class:`FunctionRecord` of a lift with these ``stats`` and
+    ``errors`` — the only builder, shared by fresh results and the serve
+    daemon's store answers (:meth:`repro.perf.store.LiftStore.summary`),
+    so a stored answer is summarized exactly like a fresh one."""
     return FunctionRecord(
         name=name, directory=directory, kind=kind,
-        outcome=outcome,
+        outcome=_outcome_of(errors),
         instructions=stats.instructions, states=stats.states,
         resolved=stats.resolved_indirections,
         unresolved_jumps=stats.unresolved_jumps,

@@ -36,7 +36,7 @@ from repro.hoare.resolve import is_return_symbol
 from repro.isa.registers import GPR64
 from repro.machine import CPU, Memory
 from repro.machine.cpu import FLAGS
-from repro.memmodel import MemModel, MemTree, model_holds
+from repro.memmodel import MemModel, model_holds
 from repro.obs.metrics import metrics as _M
 from repro.obs.tracer import tracer as _T
 from repro.pred.clause import compile_clause
@@ -182,15 +182,12 @@ class _WitnessSampler:
     def _alias_groups(self) -> list[list]:
         """Region groups the memory model forces to alias."""
         groups = []
-
-        def visit(tree: MemTree):
+        stack = list(reversed(list(self.state.model.trees)))
+        while stack:
+            tree = stack.pop()
             if len(tree.regions) > 1:
                 groups.append(sorted(tree.regions, key=region_key))
-            for child in tree.children:
-                visit(child)
-
-        for tree in self.state.model.trees:
-            visit(tree)
+            stack.extend(reversed(list(tree.children)))
         return groups
 
     @staticmethod

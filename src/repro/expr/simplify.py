@@ -35,38 +35,40 @@ def _term_key(expr: Expr) -> str:
     return expr_key(expr)
 
 
+def _absorb(expr: Expr, coeff: int, width: int,
+            terms: dict[Expr, int]) -> int:
+    """Add coeff*expr's non-constant terms into *terms*; return its
+    constant part.  (Module-level: a self-recursive closure would be a
+    reference cycle per call.)"""
+    if coeff == 0:
+        return 0
+    if isinstance(expr, Const):
+        return coeff * expr.value
+    if isinstance(expr, App) and expr.op == "add" and expr.width == width:
+        constant = 0
+        for arg in expr.args:
+            constant += _absorb(arg, coeff, width, terms)
+        return constant
+    if (
+        isinstance(expr, App)
+        and expr.op == "mul"
+        and expr.width == width
+        and len(expr.args) == 2
+        and isinstance(expr.args[1], Const)
+    ):
+        return _absorb(expr.args[0], coeff * expr.args[1].signed, width, terms)
+    if isinstance(expr, App) and expr.op == "neg" and expr.width == width:
+        return _absorb(expr.args[0], -coeff, width, terms)
+    terms[expr] = terms.get(expr, 0) + coeff
+    return 0
+
+
 def _sum_terms(pairs: list[tuple[Expr, int]], width: int) -> Expr:
     """Build the canonical linear sum of coeff*expr pairs."""
     terms: dict[Expr, int] = {}
     constant = 0
-
-    def absorb(expr: Expr, coeff: int) -> None:
-        nonlocal constant
-        if coeff == 0:
-            return
-        if isinstance(expr, Const):
-            constant += coeff * expr.value
-            return
-        if isinstance(expr, App) and expr.op == "add" and expr.width == width:
-            for arg in expr.args:
-                absorb(arg, coeff)
-            return
-        if (
-            isinstance(expr, App)
-            and expr.op == "mul"
-            and expr.width == width
-            and len(expr.args) == 2
-            and isinstance(expr.args[1], Const)
-        ):
-            absorb(expr.args[0], coeff * expr.args[1].signed)
-            return
-        if isinstance(expr, App) and expr.op == "neg" and expr.width == width:
-            absorb(expr.args[0], -coeff)
-            return
-        terms[expr] = terms.get(expr, 0) + coeff
-
     for expr, coeff in pairs:
-        absorb(expr, coeff)
+        constant += _absorb(expr, coeff, width, terms)
 
     parts: list[Expr] = []
     for term in sorted(terms, key=_term_key):

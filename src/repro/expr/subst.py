@@ -19,33 +19,35 @@ def substitute(expr: Expr, replace: Callable[[Expr], Expr | None]) -> Expr:
     """Return *expr* with every node for which *replace* returns non-None
     swapped for the replacement (applied leaf-first, then once at each
     rebuilt node)."""
-    cache: dict[Expr, Expr] = {}
+    return _substitute(expr, replace, {})
 
-    def walk(node: Expr) -> Expr:
-        if node in cache:
-            return cache[node]
-        replaced = replace(node)
-        if replaced is not None:
-            cache[node] = replaced
-            return replaced
-        if isinstance(node, (Const, Var, RegRef, FlagRef)):
-            result = node
-        elif isinstance(node, Deref):
-            new_addr = walk(node.addr)
-            rebuilt = node if new_addr is node.addr else Deref(new_addr, node.size)
-            replaced = replace(rebuilt)
-            result = replaced if replaced is not None else rebuilt
-        elif isinstance(node, App):
-            new_args = tuple(walk(arg) for arg in node.args)
-            rebuilt = _rebuild(node.op, new_args, node.width)
-            replaced = replace(rebuilt)
-            result = replaced if replaced is not None else rebuilt
-        else:
-            raise TypeError(f"unknown expression type: {node!r}")
-        cache[node] = result
-        return result
 
-    return walk(expr)
+def _substitute(node: Expr, replace, cache: dict[Expr, Expr]) -> Expr:
+    # Module-level rather than a closure over itself: a self-recursive
+    # nested function is a reference cycle that only the cyclic GC frees.
+    if node in cache:
+        return cache[node]
+    replaced = replace(node)
+    if replaced is not None:
+        cache[node] = replaced
+        return replaced
+    if isinstance(node, (Const, Var, RegRef, FlagRef)):
+        result = node
+    elif isinstance(node, Deref):
+        new_addr = _substitute(node.addr, replace, cache)
+        rebuilt = node if new_addr is node.addr else Deref(new_addr, node.size)
+        replaced = replace(rebuilt)
+        result = replaced if replaced is not None else rebuilt
+    elif isinstance(node, App):
+        new_args = tuple([_substitute(arg, replace, cache)
+                          for arg in node.args])
+        rebuilt = _rebuild(node.op, new_args, node.width)
+        replaced = replace(rebuilt)
+        result = replaced if replaced is not None else rebuilt
+    else:
+        raise TypeError(f"unknown expression type: {node!r}")
+    cache[node] = result
+    return result
 
 
 def subst_vars(expr: Expr, bindings: dict[str, Expr]) -> Expr:

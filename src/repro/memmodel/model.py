@@ -304,33 +304,39 @@ def _ins(
 
 def _model_consistent(model: MemModel, bounds: BoundsProvider) -> bool:
     """Reject models whose structural claims are refuted by the solver."""
+    return _forest_ok(model.trees, None, bounds)
 
-    def tree_ok(tree: MemTree, parent: Region | None) -> bool:
-        regions = list(tree.regions)
-        for i, left in enumerate(regions):
-            for right in regions[i + 1:]:
-                if decide_relation(left, right, bounds).relation in (
-                    Relation.SEPARATE, Relation.ENCLOSED, Relation.ENCLOSES,
-                ):
-                    return False
-        rep = tree.representative()
-        if parent is not None and decide_relation(
-            rep, parent, bounds
-        ).relation is Relation.SEPARATE:
-            return False
-        return forest_ok(tree.children, rep)
 
-    def forest_ok(trees, parent: Region | None) -> bool:
-        reps = [t.representative() for t in trees]
-        for i, left in enumerate(reps):
-            for right in reps[i + 1:]:
-                if decide_relation(left, right, bounds).relation in (
-                    Relation.ALIAS, Relation.ENCLOSED, Relation.ENCLOSES,
-                ):
-                    return False
-        return all(tree_ok(t, parent) for t in trees)
+# _tree_ok/_forest_ok are module-level rather than closures over each
+# other: mutually recursive nested functions form a reference cycle per
+# call that only the cyclic GC frees.
 
-    return forest_ok(model.trees, None)
+def _tree_ok(tree: MemTree, parent: Region | None,
+             bounds: BoundsProvider) -> bool:
+    regions = list(tree.regions)
+    for i, left in enumerate(regions):
+        for right in regions[i + 1:]:
+            if decide_relation(left, right, bounds).relation in (
+                Relation.SEPARATE, Relation.ENCLOSED, Relation.ENCLOSES,
+            ):
+                return False
+    rep = tree.representative()
+    if parent is not None and decide_relation(
+        rep, parent, bounds
+    ).relation is Relation.SEPARATE:
+        return False
+    return _forest_ok(tree.children, rep, bounds)
+
+
+def _forest_ok(trees, parent: Region | None, bounds: BoundsProvider) -> bool:
+    reps = [t.representative() for t in trees]
+    for i, left in enumerate(reps):
+        for right in reps[i + 1:]:
+            if decide_relation(left, right, bounds).relation in (
+                Relation.ALIAS, Relation.ENCLOSED, Relation.ENCLOSES,
+            ):
+                return False
+    return all(_tree_ok(t, parent, bounds) for t in trees)
 
 
 def _sorted(trees) -> list[MemTree]:
@@ -487,18 +493,19 @@ def _region_paths(model: MemModel) -> dict[Region, tuple[MemTree, ...]]:
     paths = model.__dict__.get("_paths")
     if paths is None:
         paths = {}
-
-        def walk(tree: MemTree, path: tuple[MemTree, ...]) -> None:
-            path += (tree,)
-            for region in tree.regions:
-                paths.setdefault(region, path)
-            for child in _sorted(tree.children):
-                walk(child, path)
-
         for tree in _sorted(model.trees):
-            walk(tree, ())
+            _walk_paths(tree, (), paths)
         object.__setattr__(model, "_paths", paths)
     return paths
+
+
+def _walk_paths(tree: MemTree, path: tuple[MemTree, ...],
+                paths: dict[Region, tuple[MemTree, ...]]) -> None:
+    path += (tree,)
+    for region in tree.regions:
+        paths.setdefault(region, path)
+    for child in _sorted(tree.children):
+        _walk_paths(child, path, paths)
 
 
 # -- concrete satisfaction (Definition 3.9) ------------------------------------------

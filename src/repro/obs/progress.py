@@ -1,6 +1,6 @@
 """Live progress heartbeats for long corpus runs.
 
-ROADMAP item 1 (the ``repro serve`` daemon) needs machine-readable liveness
+The ``repro serve`` daemon (:mod:`repro.serve`) needs machine-readable liveness
 while a corpus lifts: which task is running, how many are done, current
 throughput, queue depth.  This module defines that wire format — one JSON
 object per line — and a :class:`ProgressEmitter` that

@@ -37,7 +37,10 @@ Failure modes
 -------------
 
 * a corrupted, truncated, or schema-mismatched entry degrades to a
-  **silent miss** (the bad file is dropped best-effort);
+  **silent miss** (the bad file is dropped best-effort); an entry's
+  summary header carries its payload's length and SHA-256, so damage
+  anywhere in the payload is caught even by a header-only read
+  (:meth:`LiftStore.summary`);
 * the index is advisory: if it is corrupt or lost it is rebuilt from a
   directory scan, losing only LRU recency;
 * a cached ``timeout`` verdict is replayed as-is — a function that sat
@@ -55,12 +58,15 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import io
 import os
 import pickle
 import platform
+import sys
 import time
 import types
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.obs.tracer import tracer as _T
 from repro.perf.counters import gated as _gated
@@ -69,8 +75,9 @@ from repro.perf.counters import gated as _gated
 #: that the source fingerprint cannot see (e.g. a data-file format change).
 SEMANTICS_VERSION = "1"
 
-#: On-disk payload schema; entries with any other value are misses.
-STORE_SCHEMA = 1
+#: On-disk entry schema; entries with any other value are misses.
+#: Schema 2 prefixes the payload pickle with a summary header.
+STORE_SCHEMA = 2
 
 #: Environment knobs.
 ENV_ENABLE = "REPRO_CACHE"
@@ -127,8 +134,7 @@ def _source_digest(path: str) -> bytes:
     return digest
 
 
-def _hash_callable(h, qualname: str, func: types.FunctionType) -> None:
-    code = func.__code__
+def _hash_callable(h, qualname: str, code: types.CodeType) -> None:
     h.update(qualname.encode())
     h.update(code.co_code)
     h.update(",".join(code.co_names).encode())
@@ -139,6 +145,36 @@ def _hash_callable(h, qualname: str, func: types.FunctionType) -> None:
             h.update(repr(const).encode())
 
 
+def _trusted_walk() -> list:
+    """Everything the fingerprint reads from the trusted modules, in
+    hashing order: each module's source digest (``bytes``), then a
+    ``(qualname, code object)`` pair per function and method it exposes."""
+    walk: list = []
+    for module_name in _TRUSTED_MODULES:
+        module = sys.modules.get(module_name)
+        if module is None:
+            module = importlib.import_module(module_name)
+        module_file = getattr(module, "__file__", None)
+        if module_file:
+            walk.append(_source_digest(module_file))
+        for name, obj in sorted(vars(module).items()):
+            if isinstance(obj, types.FunctionType):
+                walk.append((f"{module_name}.{name}", obj.__code__))
+            elif isinstance(obj, type) and obj.__module__ == module_name:
+                for attr, member in sorted(vars(obj).items()):
+                    if isinstance(member, (staticmethod, classmethod)):
+                        member = member.__func__
+                    if isinstance(member, types.FunctionType):
+                        walk.append((f"{module_name}.{name}.{attr}",
+                                     member.__code__))
+    return walk
+
+
+#: ``(inputs, walk, fingerprint)`` of the last computation.  *walk* keeps
+#: the code objects alive, so no id in *inputs* can be reused by another.
+_fingerprint_memo: tuple[tuple, list, str] | None = None
+
+
 def semantics_fingerprint() -> str:
     """The single version string gating every cache entry.
 
@@ -147,26 +183,32 @@ def semantics_fingerprint() -> str:
     function and method those modules currently expose — so both a
     source edit and a runtime monkeypatch (an injected fault) change the
     fingerprint and turn every prior entry into a miss.
+
+    The walk over the live functions runs on every call, the hashing only
+    when an input differs from the last call's: the version string, the
+    Python version, a source digest, a name, or the identity of a code
+    object (a patched function or a reassigned ``__code__``).
     """
+    global _fingerprint_memo
+    walk = _trusted_walk()
+    python = platform.python_version()
+    inputs = (SEMANTICS_VERSION, python, tuple(
+        part if isinstance(part, bytes) else (part[0], id(part[1]))
+        for part in walk))
+    memo = _fingerprint_memo
+    if memo is not None and memo[0] == inputs:
+        return memo[2]
     h = hashlib.sha256()
     h.update(f"repro-semantics|{SEMANTICS_VERSION}|".encode())
-    h.update(platform.python_version().encode())
-    for module_name in _TRUSTED_MODULES:
-        module = importlib.import_module(module_name)
-        module_file = getattr(module, "__file__", None)
-        if module_file:
-            h.update(_source_digest(module_file))
-        for name, obj in sorted(vars(module).items()):
-            if isinstance(obj, types.FunctionType):
-                _hash_callable(h, f"{module_name}.{name}", obj)
-            elif isinstance(obj, type) and obj.__module__ == module_name:
-                for attr, member in sorted(vars(obj).items()):
-                    if isinstance(member, (staticmethod, classmethod)):
-                        member = member.__func__
-                    if isinstance(member, types.FunctionType):
-                        _hash_callable(
-                            h, f"{module_name}.{name}.{attr}", member)
-    return h.hexdigest()
+    h.update(python.encode())
+    for part in walk:
+        if isinstance(part, bytes):
+            h.update(part)
+        else:
+            _hash_callable(h, *part)
+    fingerprint = h.hexdigest()
+    _fingerprint_memo = (inputs, walk, fingerprint)
+    return fingerprint
 
 
 def binary_fingerprint(binary) -> bytes:
@@ -211,12 +253,83 @@ def lift_key(
     return h.hexdigest()
 
 
+class LiftSummary(NamedTuple):
+    """What a stored lift's header says about it: enough to build its
+    :class:`~repro.eval.runner.FunctionRecord` without the graph."""
+
+    stats: object    # LiftStats
+    errors: list     # list[VerificationError]
+
+
+def _encode_entry(key: str, result) -> bytes:
+    """One entry file: a summary header pickle, then the payload pickle.
+
+    The header holds the schema, the key, the result's ``stats`` and
+    ``errors``, and the payload's length and SHA-256, so a reader that
+    needs only the summary checks the payload without unpickling it.
+    """
+    body = pickle.dumps(
+        {"schema": STORE_SCHEMA, "key": key, "result": result},
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+    header = pickle.dumps(
+        {"schema": STORE_SCHEMA, "key": key, "stats": result.stats,
+         "errors": list(result.errors), "body_bytes": len(body),
+         "body_sha256": hashlib.sha256(body).digest()},
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+    return header + body
+
+
+def _decode_entry(blob: bytes, key: str, body: bool):
+    """The :class:`LiftSummary` (or, with *body*, the result) stored in
+    *blob*; raises on any schema, key, length or digest mismatch."""
+    from repro.hoare.annotations import VerificationError
+    from repro.hoare.lifter import LiftResult, LiftStats
+
+    stream = io.BytesIO(blob)
+    header = pickle.load(stream)
+    if (not isinstance(header, dict)
+            or header.get("schema") != STORE_SCHEMA
+            or header.get("key") != key):
+        raise ValueError("malformed store entry header")
+    payload = memoryview(blob)[stream.tell():]
+    if (len(payload) != header.get("body_bytes")
+            or hashlib.sha256(payload).digest() != header.get("body_sha256")):
+        raise ValueError("store entry body does not match its header")
+    summary = LiftSummary(header.get("stats"), header.get("errors"))
+    if (not isinstance(summary.stats, LiftStats)
+            or not isinstance(summary.errors, list)
+            or not all(isinstance(error, VerificationError)
+                       for error in summary.errors)):
+        raise ValueError("malformed store entry summary")
+    if not body:
+        return summary
+    payload = pickle.loads(payload)
+    if (not isinstance(payload, dict)
+            or payload.get("schema") != STORE_SCHEMA
+            or payload.get("key") != key):
+        raise ValueError("malformed store entry body")
+    result = payload.get("result")
+    if (not isinstance(result, LiftResult)
+            or result.stats != summary.stats
+            or result.errors != summary.errors):
+        raise ValueError("store entry header does not match its body")
+    return result
+
+
 class LiftStore:
     """A directory of pickled lift results with an LRU size cap.
 
-    Layout: ``<root>/<key[:2]>/<key>.pkl`` per entry plus
-    ``<root>/index.json`` holding a logical clock and per-entry access
-    stamps.  Every mutation is tolerant of a missing/corrupt index.
+    Layout: ``<root>/<key[:2]>/<key>.pkl`` per entry (a summary header
+    pickle, then the payload pickle; see :func:`_encode_entry`) plus
+    ``<root>/index.json`` holding a logical clock, per-entry access
+    stamps and lifetime telemetry.  Every mutation is tolerant of a
+    missing/corrupt index.
+
+    Index writes: one per hit (:meth:`get` or :meth:`summary`), one per
+    miss, one per :meth:`put` — and one for a :func:`cached_lift` miss
+    and the store that follows it.
     """
 
     INDEX_NAME = "index.json"
@@ -343,29 +456,50 @@ class LiftStore:
         """The stored :class:`LiftResult` for *key*, or None (a miss).
 
         Any load failure — missing file, truncated pickle, foreign bytes,
-        schema or key mismatch — is a silent miss; the offending file is
+        schema or key mismatch, a body that does not match its header's
+        length and digest — is a silent miss; the offending file is
         removed best-effort so it is not re-tried forever.
         """
-        from repro.hoare.lifter import LiftResult
+        result = self._load(key, body=True)
+        if result is None:
+            self._save_miss()
+        return result
 
-        path = self.entry_path(key)
+    def summary(self, key: str) -> LiftSummary | None:
+        """The stored header for *key* — the result's ``stats`` and
+        ``errors`` — or None (a miss), without unpickling the graph.
+
+        Validation, corruption handling, recency and hit/miss counting
+        are exactly :meth:`get`'s: the body's length and digest are
+        checked, so a damaged entry misses here as it would there.
+        """
+        summary = self._load(key, body=False)
+        if summary is None:
+            self._save_miss()
+        return summary
+
+    def _load(self, key: str, *, body: bool):
+        """Read and check the entry for *key*; the result (*body*) or its
+        summary on a hit, None on a miss.  A hit persists its recency and
+        hit count; a miss is counted in-process and traced but left for
+        the caller to persist, so a miss that ends in :meth:`put` costs
+        one index write, not two."""
+        value = None
         try:
-            blob = path.read_bytes()
+            blob = self.entry_path(key).read_bytes()
         except OSError:
-            self._count_miss(key)
-            return None
-        try:
-            payload = pickle.loads(blob)
-            if (not isinstance(payload, dict)
-                    or payload.get("schema") != STORE_SCHEMA
-                    or payload.get("key") != key
-                    or not isinstance(payload.get("result"), LiftResult)):
-                raise ValueError("malformed store entry")
-        except Exception:
-            # Corruption tolerance: a bad entry must never take the
-            # pipeline down — drop it and re-lift.
-            self._drop_file(key)
-            self._count_miss(key)
+            blob = None
+        if blob is not None:
+            try:
+                value = _decode_entry(blob, key, body)
+            except Exception:
+                # Corruption tolerance: a bad entry must never take the
+                # pipeline down — drop it and re-lift.
+                self._drop_file(key)
+        if value is None:
+            _gated("cache_lift_misses")
+            if _T.enabled:
+                _T.emit("cache.lift.miss", None, key=key[:16])
             return None
         index = self._load_index()
         self._touch(index, key, len(blob))
@@ -374,24 +508,20 @@ class LiftStore:
         _gated("cache_lift_hits")
         if _T.enabled:
             _T.emit("cache.lift.hit", None, key=key[:16], bytes=len(blob))
-        return payload["result"]
+        return value
 
-    def _count_miss(self, key: str) -> None:
-        _gated("cache_lift_misses")
-        # Persist the lifetime miss count too.  One extra index round-trip
-        # per miss is noise next to the cold lift the miss triggers.
+    def _save_miss(self) -> None:
         index = self._load_index()
         self._count(index, "misses")
         self._save_index(index)
-        if _T.enabled:
-            _T.emit("cache.lift.miss", None, key=key[:16])
 
-    def put(self, key: str, result) -> None:
-        """Store *result* under *key* (atomic write, then LRU eviction)."""
-        blob = pickle.dumps(
-            {"schema": STORE_SCHEMA, "key": key, "result": result},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+    def put(self, key: str, result, *, missed: bool = False) -> None:
+        """Store *result* under *key* (atomic write, then LRU eviction).
+
+        *missed* records the lookup miss that led to this store in the
+        same index write (see :func:`cached_lift`).
+        """
+        blob = _encode_entry(key, result)
         path = self.entry_path(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -399,8 +529,13 @@ class LiftStore:
             tmp.write_bytes(blob)
             os.replace(tmp, path)
         except OSError:
-            return  # a full/read-only disk disables the cache, not the lift
+            # A full/read-only disk disables the cache, not the lift.
+            if missed:
+                self._save_miss()
+            return
         index = self._load_index()
+        if missed:
+            self._count(index, "misses")
         self._touch(index, key, len(blob))
         self._count(index, "stores")
         self._evict(index)
@@ -518,7 +653,7 @@ def cached_lift(
         schedule=schedule, pointer_summaries=pointer_summaries,
     )
     load_start = time.perf_counter()
-    result = store.get(key)
+    result = store._load(key, body=True)
     if result is not None:
         result.stats.seconds = time.perf_counter() - load_start
         return result
@@ -527,6 +662,9 @@ def cached_lift(
         max_targets=max_targets, timeout_seconds=timeout_seconds,
         schedule=schedule, pointer_summaries=pointer_summaries,
     )
-    if not result.depends_on_cpu_budget:
-        store.put(key, result)
+    # The miss is persisted with the store, in one index write.
+    if result.depends_on_cpu_budget:
+        store._save_miss()
+    else:
+        store.put(key, result, missed=True)
     return result

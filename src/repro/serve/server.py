@@ -556,9 +556,9 @@ class Server:
             # addressed, so sharing them across tenants is sound).
             if dedup_key is not None and self._store is not None \
                     and self._store.contains(dedup_key):
-                stored = self._store.get(dedup_key)
-                if stored is not None:
-                    self._complete_from_store_locked(job, spec, stored)
+                summary = self._store.summary(dedup_key)
+                if summary is not None:
+                    self._complete_from_store_locked(job, spec, summary)
                     return {"ok": True, "job_id": job.id,
                             "state": job.state, "source": job.source}
             if dedup_key is not None and dedup_key in self._inflight:
@@ -642,11 +642,14 @@ class Server:
                 for task in tasks], None
 
     def _complete_from_store_locked(self, job: Job, spec: dict,
-                                    stored) -> None:
-        from repro.eval.runner import record_from_result
+                                    summary) -> None:
+        """Answer *job* from a stored entry's header, without unpickling
+        its graph; *summary* is a :class:`repro.perf.store.LiftSummary`."""
+        from repro.eval.runner import record_from_summary
 
-        record = record_from_result(os.path.basename(spec["path"]),
-                                    "serve", "binary", stored)
+        record = record_from_summary(os.path.basename(spec["path"]),
+                                     "serve", "binary",
+                                     summary.stats, summary.errors)
         job.source = "store"
         job.units_total = job.units_done = 1
         job.metrics = {"instructions": record.instructions,

@@ -31,6 +31,30 @@ class Linear:
         return dict(self.terms)
 
 
+def _absorb(node: Expr, coeff: int, width: int,
+            terms: dict[Expr, int]) -> int:
+    """Add coeff*node's non-constant terms into *terms*; return its
+    constant part.  (Module-level: a self-recursive closure would be a
+    reference cycle per call.)"""
+    if isinstance(node, Const):
+        return coeff * node.value
+    if isinstance(node, App) and node.op == "add" and node.width == width:
+        const = 0
+        for arg in node.args:
+            const += _absorb(arg, coeff, width, terms)
+        return const
+    if (
+        isinstance(node, App)
+        and node.op == "mul"
+        and node.width == width
+        and len(node.args) == 2
+        and isinstance(node.args[1], Const)
+    ):
+        return _absorb(node.args[0], coeff * node.args[1].signed, width, terms)
+    terms[node] = terms.get(node, 0) + coeff
+    return 0
+
+
 @lru_cache(maxsize=65536)
 def linearize(expr: Expr, width: int = 64) -> Linear:
     """Decompose *expr* into linear normal form at the given width.
@@ -38,29 +62,7 @@ def linearize(expr: Expr, width: int = 64) -> Linear:
     Expressions are immutable value objects, so the decomposition is
     memoized (this sits on the lifter's hottest path)."""
     terms: dict[Expr, int] = {}
-    const = 0
-
-    def absorb(node: Expr, coeff: int) -> None:
-        nonlocal const
-        if isinstance(node, Const):
-            const += coeff * node.value
-            return
-        if isinstance(node, App) and node.op == "add" and node.width == width:
-            for arg in node.args:
-                absorb(arg, coeff)
-            return
-        if (
-            isinstance(node, App)
-            and node.op == "mul"
-            and node.width == width
-            and len(node.args) == 2
-            and isinstance(node.args[1], Const)
-        ):
-            absorb(node.args[0], coeff * node.args[1].signed)
-            return
-        terms[node] = terms.get(node, 0) + coeff
-
-    absorb(expr, 1)
+    const = _absorb(expr, 1, width, terms)
     cleaned = tuple(
         sorted(
             ((term, coeff) for term, coeff in terms.items() if coeff),

@@ -373,3 +373,184 @@ def test_rebuilt_index_keeps_telemetry_shape(store):
                                        "evictions"}
     assert stats["telemetry"]["hits"] >= 1
     assert stats["oldest_entry_age"] is not None
+
+
+# -- the semantics-fingerprint memo -----------------------------------------
+
+def _uncached_fingerprint() -> str:
+    """The fingerprint computed from scratch, as before it was memoized:
+    the reference the memo must always agree with."""
+    import hashlib
+    import importlib
+    import platform
+    import types
+
+    def hash_callable(h, qualname, func):
+        code = func.__code__
+        h.update(qualname.encode())
+        h.update(code.co_code)
+        h.update(",".join(code.co_names).encode())
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                h.update(const.co_code)
+            else:
+                h.update(repr(const).encode())
+
+    h = hashlib.sha256()
+    h.update(f"repro-semantics|{store_mod.SEMANTICS_VERSION}|".encode())
+    h.update(platform.python_version().encode())
+    for module_name in store_mod._TRUSTED_MODULES:
+        module = importlib.import_module(module_name)
+        with open(module.__file__, "rb") as handle:
+            h.update(hashlib.sha256(handle.read()).digest())
+        for name, obj in sorted(vars(module).items()):
+            if isinstance(obj, types.FunctionType):
+                hash_callable(h, f"{module_name}.{name}", obj)
+            elif isinstance(obj, type) and obj.__module__ == module_name:
+                for attr, member in sorted(vars(obj).items()):
+                    if isinstance(member, (staticmethod, classmethod)):
+                        member = member.__func__
+                    if isinstance(member, types.FunctionType):
+                        hash_callable(
+                            h, f"{module_name}.{name}.{attr}", member)
+    return h.hexdigest()
+
+
+def test_memoized_fingerprint_equals_the_uncached_computation():
+    assert semantics_fingerprint() == _uncached_fingerprint()
+    assert semantics_fingerprint() == _uncached_fingerprint()
+
+
+def test_patched_method_changes_the_memoized_fingerprint(monkeypatch):
+    from repro.pred.predicate import Predicate
+
+    clean = semantics_fingerprint()
+    original = Predicate.__hash__
+
+    def patched(self, *args, **kwargs):
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Predicate, "__hash__", patched)
+    faulted = semantics_fingerprint()
+    assert faulted != clean
+    assert faulted == _uncached_fingerprint()
+    monkeypatch.undo()
+    assert semantics_fingerprint() == clean
+
+
+def _impostor(expr, bindings):
+    return expr
+
+
+def test_reassigned_code_changes_the_memoized_fingerprint():
+    from repro.expr import subst
+
+    clean = semantics_fingerprint()
+    original = subst.subst_vars.__code__
+    subst.subst_vars.__code__ = _impostor.__code__
+    try:
+        faulted = semantics_fingerprint()
+        assert faulted != clean
+        assert faulted == _uncached_fingerprint()
+    finally:
+        subst.subst_vars.__code__ = original
+    assert semantics_fingerprint() == clean
+
+
+# -- the summary header -----------------------------------------------------
+
+def _summary_cases():
+    from repro.corpus import concurrency
+
+    return [
+        ("lifted", build_target("loop"), {}),
+        ("unprovable", build_target("overflow"), {}),
+        ("timeout", build_target("loop"), {"max_states": 1}),
+        ("concurrency", concurrency(), {}),
+    ]
+
+
+@pytest.mark.parametrize("outcome", ["lifted", "unprovable", "timeout",
+                                     "concurrency"])
+def test_header_answer_summarizes_like_the_full_result(store, outcome):
+    from repro.eval.runner import record_from_result, record_from_summary
+    from repro.serve.jobs import summarize_record
+
+    _, binary, options = next(case for case in _summary_cases()
+                              if case[0] == outcome)
+    fresh = lift(binary, cache=store, **options)
+    key = lift_key(binary, **options)
+    summary = store.summary(key)
+    full = store.get(key)
+    assert summary is not None and full is not None
+
+    def view(record):
+        data = summarize_record(record)
+        del data["seconds"]
+        return data
+
+    from_header = view(record_from_summary("t", "serve", "binary",
+                                           summary.stats, summary.errors))
+    assert from_header["outcome"] == outcome
+    assert from_header == view(record_from_result("t", "serve", "binary",
+                                                  full))
+    assert from_header == view(record_from_result("t", "serve", "binary",
+                                                  fresh))
+
+
+def _header_length(blob: bytes) -> int:
+    import io
+
+    stream = io.BytesIO(blob)
+    pickle.load(stream)
+    return stream.tell()
+
+
+@pytest.mark.parametrize("damage", ["truncate", "flip"])
+@pytest.mark.parametrize("read", ["get", "summary"])
+def test_damaged_body_under_an_intact_header_misses(store, damage, read):
+    binary = build_target("arith")
+    key = lift_key(binary)
+    lift(binary, cache=store)
+    path = store.entry_path(key)
+    blob = bytearray(path.read_bytes())
+    header_end = _header_length(bytes(blob))
+    assert header_end < len(blob)
+    if damage == "truncate":
+        del blob[-7:]
+    else:
+        blob[(header_end + len(blob)) // 2] ^= 0x01
+    path.write_bytes(bytes(blob))
+    assert getattr(store, read)(key) is None
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("read", ["get", "summary"])
+def test_previous_schema_entry_misses(store, read):
+    binary = build_target("arith")
+    key = lift_key(binary)
+    result = lift(binary, cache=store)
+    path = store.entry_path(key)
+    path.write_bytes(pickle.dumps(
+        {"schema": store_mod.STORE_SCHEMA - 1, "key": key,
+         "result": result}, protocol=pickle.HIGHEST_PROTOCOL))
+    assert getattr(store, read)(key) is None
+    assert not path.exists()
+
+
+def test_index_writes_per_miss_hit_and_summary(store, monkeypatch):
+    writes = []
+    save = store._save_index
+    monkeypatch.setattr(store, "_save_index",
+                        lambda index: (writes.append(1), save(index)))
+    binary = build_target("arith")
+    lift(binary, cache=store)                    # miss + store
+    assert len(writes) == 1
+    lift(binary, cache=store)                    # hit
+    assert len(writes) == 2
+    assert store.summary(lift_key(binary)) is not None
+    assert len(writes) == 3
+    lift(build_target("loop"), cache=store, timeout_seconds=1e-9)
+    assert len(writes) == 4                      # an unstored miss
+    assert store.stats()["telemetry"] == {"hits": 2, "misses": 2,
+                                          "stores": 1, "evictions": 0}
