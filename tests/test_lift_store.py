@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from repro.corpus import Corpus, CorpusBinary
+from repro.corpus import Corpus, CorpusBinary, concurrency
 from repro.eval.runner import run_corpus
 from repro.hoare.lifter import lift
 from repro.minicc import compile_source
@@ -459,25 +459,18 @@ def test_reassigned_code_changes_the_memoized_fingerprint():
 
 # -- the summary header -----------------------------------------------------
 
-def _summary_cases():
-    from repro.corpus import concurrency
-
-    return [
-        ("lifted", build_target("loop"), {}),
-        ("unprovable", build_target("overflow"), {}),
-        ("timeout", build_target("loop"), {"max_states": 1}),
-        ("concurrency", concurrency(), {}),
-    ]
-
-
-@pytest.mark.parametrize("outcome", ["lifted", "unprovable", "timeout",
-                                     "concurrency"])
-def test_header_answer_summarizes_like_the_full_result(store, outcome):
+@pytest.mark.parametrize("outcome, build, options", [
+    ("lifted", lambda: build_target("loop"), {}),
+    ("unprovable", lambda: build_target("overflow"), {}),
+    ("timeout", lambda: build_target("loop"), {"max_states": 1}),
+    ("concurrency", concurrency, {}),
+], ids=["lifted", "unprovable", "timeout", "concurrency"])
+def test_header_answer_summarizes_like_the_full_result(
+        store, outcome, build, options):
     from repro.eval.runner import record_from_result, record_from_summary
     from repro.serve.jobs import summarize_record
 
-    _, binary, options = next(case for case in _summary_cases()
-                              if case[0] == outcome)
+    binary = build()
     fresh = lift(binary, cache=store, **options)
     key = lift_key(binary, **options)
     summary = store.summary(key)
