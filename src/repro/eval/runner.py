@@ -138,11 +138,7 @@ class CorpusReport:
         return json.dumps(self.canonical(), sort_keys=True, indent=1)
 
 
-def _outcome(result: LiftResult) -> str:
-    return _outcome_of(result.errors)
-
-
-def _outcome_of(errors) -> str:
+def _outcome(errors) -> str:
     """The Table 1 class of a lift that raised *errors*."""
     if not errors:
         return "lifted"
@@ -241,7 +237,7 @@ def record_from_summary(name: str, directory: str, kind: str,
     so a stored answer is summarized exactly like a fresh one."""
     return FunctionRecord(
         name=name, directory=directory, kind=kind,
-        outcome=_outcome_of(errors),
+        outcome=_outcome(errors),
         instructions=stats.instructions, states=stats.states,
         resolved=stats.resolved_indirections,
         unresolved_jumps=stats.unresolved_jumps,

@@ -515,11 +515,11 @@ class LiftStore:
         self._count(index, "misses")
         self._save_index(index)
 
-    def put(self, key: str, result, *, missed: bool = False) -> None:
+    def put(self, key: str, result) -> None:
         """Store *result* under *key* (atomic write, then LRU eviction).
 
-        *missed* records the lookup miss that led to this store in the
-        same index write (see :func:`cached_lift`).
+        A store follows a lookup miss (see :func:`cached_lift`), so it
+        also counts that miss, in the same index write.
         """
         blob = _encode_entry(key, result)
         path = self.entry_path(key)
@@ -530,12 +530,10 @@ class LiftStore:
             os.replace(tmp, path)
         except OSError:
             # A full/read-only disk disables the cache, not the lift.
-            if missed:
-                self._save_miss()
+            self._save_miss()
             return
         index = self._load_index()
-        if missed:
-            self._count(index, "misses")
+        self._count(index, "misses")
         self._touch(index, key, len(blob))
         self._count(index, "stores")
         self._evict(index)
@@ -666,5 +664,5 @@ def cached_lift(
     if result.depends_on_cpu_budget:
         store._save_miss()
     else:
-        store.put(key, result, missed=True)
+        store.put(key, result)
     return result
