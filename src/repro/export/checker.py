@@ -39,6 +39,7 @@ from repro.machine.cpu import FLAGS
 from repro.memmodel import MemModel, model_holds
 from repro.obs.metrics import metrics as _M
 from repro.obs.tracer import tracer as _T
+from repro.perf import collector_paused
 from repro.pred.clause import compile_clause
 from repro.semantics import SymState
 from repro.smt.linear import linearize
@@ -440,6 +441,13 @@ def check_triples(
     max_attempts_factor: int = 12,
 ) -> CheckReport:
     """Replay every Hoare triple of *result* against the concrete emulator."""
+    # Replay makes no reference cycles (tests/test_gc_cycles.py).
+    with collector_paused():
+        return _check_triples(result, samples, seed, max_attempts_factor)
+
+
+def _check_triples(result: LiftResult, samples: int, seed: int,
+                   max_attempts_factor: int) -> CheckReport:
     graph = result.graph
     report = CheckReport()
     by_source: dict[tuple[VertexKey, int], list[VertexKey]] = {}

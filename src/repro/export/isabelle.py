@@ -21,6 +21,7 @@ from repro.hoare import HoareGraph, LiftResult
 from repro.hoare.graph import VertexKey
 from repro.obs.profile import phase as _phase
 from repro.obs.tracer import tracer as _T
+from repro.perf import collector_paused
 from repro.export.terms import _sanitize, to_isabelle
 from repro.smt.solver import region_key
 
@@ -95,8 +96,9 @@ def export_theory(result: LiftResult, theory_name: str | None = None,
     With *with_equations* (the default) each lifted instruction also gets a
     generated ``definition step_<addr>`` giving its machine semantics over
     the X86_Semantics state record."""
-    with _T.span("export.theory", binary=result.binary.name,
-                 entry=result.entry):
+    with collector_paused(), _T.span("export.theory",
+                                     binary=result.binary.name,
+                                     entry=result.entry):
         with _phase("export"):
             return _export_theory(result, theory_name, with_equations)
 

@@ -65,9 +65,11 @@ from repro.hoare.graph import Edge, HoareGraph, VertexKey, code_key, exit_key, r
 from repro.hoare.schedule import (
     SCC_ORDER,
     SCHEDULE_MODES,
+    DecodeMemo,
     Schedule,
     build_schedule,
 )
+from repro.perf import collector_paused, store as _store
 from repro.perf.counters import gated as _gated
 from repro.hoare.resolve import (
     Resolution,
@@ -199,7 +201,7 @@ _PROBE_RESTORED = (
 #: counter (only the relative order of its values matters, and that
 #: survives a rollback), and the probe bookkeeping itself.
 _PROBE_PERSISTS = (
-    "binary", "entry", "summaries", "text_range", "max_states",
+    "binary", "decoded", "entry", "summaries", "text_range", "max_states",
     "max_targets", "timeout_seconds", "deadline", "schedule", "_tiebreak",
     "widen_after", "probed", "probe",
 )
@@ -210,8 +212,10 @@ class _Lifter:
                  max_states: int, max_targets: int,
                  timeout_seconds: float | None = None,
                  schedule: Schedule | None = None,
-                 summaries=None):
+                 summaries=None, decoded: DecodeMemo | None = None):
         self.binary = binary
+        #: The lift's decode memo, shared with the schedule's scan.
+        self.decoded = decoded or DecodeMemo(binary)
         self.entry = entry
         #: Optional pointer-summary oracle (duck-typed ``for_internal``/
         #: ``for_external``) refining the call-cleaning havoc.
@@ -518,7 +522,7 @@ class _Lifter:
 
         with _phase("decode"):
             try:
-                instr = self.binary.fetch(rip)
+                instr = self.decoded.fetch(rip)
             except (FetchError, DecodeError) as exc:
                 self.annotate("undecodable", rip, str(exc))
                 return
@@ -833,8 +837,6 @@ def lift(
     """
     if schedule not in SCHEDULE_MODES:
         raise ValueError(f"unknown schedule mode {schedule!r}")
-    from repro.perf import store as _store
-
     lift_store = _store.resolve_store(cache, cache_dir)
     if lift_store is not None:
         return _store.cached_lift(
@@ -879,9 +881,13 @@ def lift_uncached(
         )
     start = time.perf_counter()
     resolved_entry = entry if entry is not None else binary.entry
-    with _T.span("lift", binary=binary.name, entry=resolved_entry):
+    decoded = DecodeMemo(binary)
+    # The engine makes no reference cycles (tests/test_gc_cycles.py), so
+    # the cyclic collector would only rescan the memo heap.
+    with collector_paused(), _T.span("lift", binary=binary.name,
+                                     entry=resolved_entry):
         with _phase("schedule"):
-            sched = (build_schedule(binary, resolved_entry)
+            sched = (build_schedule(binary, resolved_entry, decoded)
                      if schedule == SCC_ORDER else None)
         lifter = _Lifter(
             binary,
@@ -892,6 +898,7 @@ def lift_uncached(
             timeout_seconds=timeout_seconds,
             schedule=sched,
             summaries=summaries,
+            decoded=decoded,
         )
         lifter.run()
         with _phase("finish"):

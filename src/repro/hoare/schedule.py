@@ -121,8 +121,45 @@ SCC_ORDER = "scc"
 SCHEDULE_MODES = (ADDRESS_ORDER, SCC_ORDER)
 
 
-def _scan_flow(binary: Binary, entry: int) -> dict[int, tuple[int, ...]]:
+class DecodeMemo:
+    """``Binary.fetch`` for one lift: each address is decoded at most once.
+
+    The schedule's scan decodes every statically reachable address, and
+    the lifter decodes an address again each time it explores it.  Within
+    one lift the answer cannot change, so the scan and the lifter share
+    one memo.  It is made per lift and dropped with it, never kept on the
+    :class:`Binary`: a binary is mutable and pickles into every
+    :class:`~repro.hoare.lifter.LiftResult`.  A failed fetch is kept as
+    its exception's type and arguments and raised afresh on every call;
+    an exception object kept here would hold its traceback's frames, a
+    reference cycle through the lifter.
+    """
+
+    __slots__ = ("binary", "_decoded")
+
+    def __init__(self, binary: Binary) -> None:
+        self.binary = binary
+        self._decoded: dict[int, Instruction | tuple[type, tuple]] = {}
+
+    def fetch(self, addr: int) -> Instruction:
+        """``self.binary.fetch(addr)``, decoded on the first call only."""
+        decoded = self._decoded.get(addr)
+        if decoded is None:
+            try:
+                decoded = self.binary.fetch(addr)
+            except (FetchError, DecodeError) as exc:
+                decoded = (type(exc), exc.args)
+            self._decoded[addr] = decoded
+        if type(decoded) is tuple:
+            kind, args = decoded
+            raise kind(*args)
+        return decoded
+
+
+def _scan_flow(decoded: DecodeMemo,
+               entry: int) -> dict[int, tuple[int, ...]]:
     """Recursive-descent scan from *entry* following direct control flow."""
+    binary = decoded.binary
     flow: dict[int, tuple[int, ...]] = {}
     worklist = [entry]
     while worklist:
@@ -130,7 +167,7 @@ def _scan_flow(binary: Binary, entry: int) -> dict[int, tuple[int, ...]]:
         if addr in flow:
             continue
         try:
-            instr = binary.fetch(addr)
+            instr = decoded.fetch(addr)
         except (FetchError, DecodeError):
             flow[addr] = ()
             continue
@@ -211,14 +248,16 @@ def condense(nodes: list[int],
     return _tarjan_sccs(nodes, flow)
 
 
-def build_schedule(binary: Binary, entry: int) -> Schedule:
+def build_schedule(binary: Binary, entry: int,
+                   decoded: DecodeMemo | None = None) -> Schedule:
     """Scan, condense, and rank the function graph rooted at *entry*.
 
     Deterministic by construction: nodes are visited in sorted order and
     successor tuples come from the decoder in a fixed order, so the same
-    binary always produces the same ranks.
+    binary always produces the same ranks.  The scan decodes through
+    *decoded*, the lift's :class:`DecodeMemo` (a fresh one by default).
     """
-    flow = _scan_flow(binary, entry)
+    flow = _scan_flow(decoded or DecodeMemo(binary), entry)
     nodes = sorted(flow)
     sccs = _tarjan_sccs(nodes, flow)
 

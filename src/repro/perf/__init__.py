@@ -9,10 +9,15 @@ here so that:
 * :func:`cache_stats` aggregates hit/miss statistics for the benchmark's
   per-layer metrics and ``repro profile`` without each module exposing
   its own accessors.
+
+:class:`collector_paused` keeps the cyclic garbage collector off over
+paths that make no reference cycles (the lift engine, theory export,
+triple replay).
 """
 
 from __future__ import annotations
 
+import gc
 from typing import Callable
 
 from repro.perf.counters import PerfCounters, counters, gated
@@ -55,7 +60,36 @@ def reset_caches() -> None:
     counters.reset()
 
 
+class collector_paused:
+    """``with collector_paused():`` runs its block with the cyclic garbage
+    collector off.
+
+    Reference counting frees everything a cycle-free path drops, so the
+    collector would only rescan the long-lived memo heap: in the seed-1
+    lift-cold draw most of its collections, and all of its full ones,
+    fell inside the lift.  Use it only over paths that
+    ``tests/test_gc_cycles.py`` checks make no cyclic garbage.
+
+    Re-entrant: each entry records whether the collector was on, and its
+    exit restores exactly that, also when the block raises.  A nested
+    span leaves the collector off; the outermost one turns it back on.
+    Allocations made while paused still count towards the next
+    collection, which runs as usual once the collector is back on.
+    """
+
+    __slots__ = ("_was_enabled",)
+
+    def __enter__(self) -> None:
+        self._was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *_exc) -> bool:
+        if self._was_enabled:
+            gc.enable()
+        return False
+
+
 __all__ = [
-    "PerfCounters", "counters", "gated",
+    "PerfCounters", "counters", "gated", "collector_paused",
     "register_cache", "register_lru", "cache_stats", "reset_caches",
 ]

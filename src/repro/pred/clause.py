@@ -44,6 +44,25 @@ class Clause:
         if self.op not in OPS:
             raise ValueError(f"unknown clause relation: {self.op}")
 
+    #: The cached hash sits in a slot beside the instance dict, which
+    #: keeps only the fields.
+    __slots__ = ("__dict__", "__weakref__", "_hash")
+
+    def __hash__(self) -> int:
+        # The generated frozen-dataclass hash, cached on first use:
+        # clause sets are built, intersected and differenced on every join.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.lhs, self.op, self.rhs, self.width))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        # The fields only: the cached hash is salted per process and stays
+        # out of pickles, so a clause pickles to the same bytes hashed or not.
+        return self.__dict__
+
     def negated(self) -> "Clause":
         return Clause(self.lhs, _NEGATION[self.op], self.rhs, self.width)
 

@@ -353,18 +353,29 @@ def _project(clauses: frozenset[Clause], terms) -> frozenset[Clause]:
 _NO_CLAUSES: frozenset[Clause] = frozenset()
 
 
+class _ClauseIndex(dict):
+    """``normalized().lhs -> clauses`` for one clause set, plus
+    ``join_vars``: the join variables among the keys, in key order."""
+
+    __slots__ = ("join_vars",)
+
+
 @lru_cache(maxsize=1 << 12)
-def _clause_index(clauses: frozenset[Clause]) -> dict[Expr, tuple]:
+def _clause_index(clauses: frozenset[Clause]) -> _ClauseIndex:
     """``normalized().lhs -> clauses`` for one clause set.  A predicate's
     clause set is projected once per joined part, so the index is shared
-    by every part of a join and by later joins of the same predicate."""
+    by every part of a join and by later joins of the same predicate;
+    the foreign-variable rule reads its join variables."""
     index: dict[Expr, list[Clause]] = {}
     for clause in clauses:
         lhs = clause.lhs
         if isinstance(lhs, Const) and not isinstance(clause.rhs, Const):
             lhs = clause.rhs  # clause.normalized().lhs
         index.setdefault(lhs, []).append(clause)
-    return {lhs: tuple(group) for lhs, group in index.items()}
+    out = _ClauseIndex((lhs, tuple(group)) for lhs, group in index.items())
+    out.join_vars = tuple(lhs for lhs in out if isinstance(lhs, Var)
+                          and lhs.name.startswith("join@"))
+    return out
 
 
 register_lru("pred.clause_index", _clause_index)
@@ -525,9 +536,11 @@ def join_predicates(p0: Predicate, p1: Predicate, rip: int) -> Predicate:
 
     One merge pass walks the two sides' sorted registers (by name) and
     memory valuations (by :func:`region_key`) and builds the result in
-    order.  A part whose two values are the same object is answered on the
-    spot (:func:`_identity_part`); only the other parts reach the value
-    join and its memo.
+    order; when both sides hold the same register names (the common
+    case) the registers are walked pairwise.  A part whose two values are
+    the same object is answered on the spot (:func:`_identity_part`,
+    inlined for registers); only the other parts reach the value join and
+    its memo.
     """
     clauses0, clauses1 = p0.clauses, p1.clauses
     index0, index1 = _clause_index(clauses0), _clause_index(clauses1)
@@ -556,22 +569,20 @@ def join_predicates(p0: Predicate, p1: Predicate, rip: int) -> Predicate:
 
     new_regs: list[tuple[str, Expr]] = []
     regs0, regs1 = p0.regs, p1.regs
-    i = j = 0
-    while i < len(regs0) and j < len(regs1):
-        name, v0 = regs0[i]
-        other, v1 = regs1[j]
-        if name != other:
-            if name < other:
-                i += 1
-            else:
-                j += 1
+    if not _same_names(regs0, regs1):
+        regs0, regs1 = _common_regs(regs0, regs1)
+    identical = 0
+    for (name, v0), (_, v1) in zip(regs0, regs1):
+        if v0 is v1 and (not isinstance(v0, Var) or (  # _identity_part
+                v0 not in index0 and v0 not in index1)):
+            identical += 1
+            new_regs.append((name, v0))
             continue
-        i += 1
-        j += 1
         value, bounds = join_pair(v0, v1, name)
         if value is not None:
             new_regs.append((name, value))
             extra_clauses += bounds
+    _IDENTITY_ANSWERS[0] += identical
 
     new_mem: list[tuple[Region, Expr]] = []
     for region, v0, v1 in _merge_mem(p0.mem, p1.mem):
@@ -628,7 +639,7 @@ def join_predicates(p0: Predicate, p1: Predicate, rip: int) -> Predicate:
     # accumulate would keep the state changing forever (no fixpoint).
     bounds = [clause for clause in clauses if _is_join_bound(clause)]
     if bounds:
-        live = _referenced_var_names(result)
+        live = _kept_valuation_names(result, p0, p1)
         if flags is not None:
             live = live.union(*(variable_names(operand)
                                 for operand in (flags.a, flags.b)
@@ -655,6 +666,36 @@ def _identity_part(value: Expr, index0: dict, index1: dict) -> bool:
         value not in index0 and value not in index1)
 
 
+def _same_names(regs0: tuple, regs1: tuple) -> bool:
+    """True iff both sides value the same registers."""
+    if len(regs0) != len(regs1):
+        return False
+    for (name0, _), (name1, _) in zip(regs0, regs1):
+        if name0 != name1:
+            return False
+    return True
+
+
+def _common_regs(regs0: tuple, regs1: tuple) -> tuple[list, list]:
+    """The entries of the registers both sides value, aligned by name:
+    one merge pass over the two name-sorted tuples."""
+    common0: list[tuple[str, Expr]] = []
+    common1: list[tuple[str, Expr]] = []
+    i = j = 0
+    while i < len(regs0) and j < len(regs1):
+        name, other = regs0[i][0], regs1[j][0]
+        if name == other:
+            common0.append(regs0[i])
+            common1.append(regs1[j])
+            i += 1
+            j += 1
+        elif name < other:
+            i += 1
+        else:
+            j += 1
+    return common0, common1
+
+
 def _merge_mem(mem0: tuple, mem1: tuple):
     """``(region, v0, v1)`` for every region of either side, in
     :func:`region_key` order; a side without the region gives None.
@@ -668,7 +709,7 @@ def _merge_mem(mem0: tuple, mem1: tuple):
     i = j = 0
     while i < len(mem0) and j < len(mem1):
         (r0, v0), (r1, v1) = mem0[i], mem1[j]
-        if r0 == r1:
+        if r0 is r1 or r0 == r1:
             yield r0, v0, v1
             i += 1
             j += 1
@@ -726,15 +767,25 @@ def _referenced_var_names(pred: Predicate) -> frozenset[str]:
     the predicate, which every join of it on either side asks again)."""
     names = pred.__dict__.get("_refnames")
     if names is None:
-        found: set[str] = set()
-        for _, value in pred.regs:
-            found.update(variable_names(value))
-        for region, value in pred.mem:
-            found.update(variable_names(region.addr))
-            found.update(variable_names(value))
-        names = frozenset(found)
+        names = frozenset().union(
+            *(variable_names(value) for _, value in pred.regs),
+            *(variable_names(region.addr) for region, _ in pred.mem),
+            *(variable_names(value) for _, value in pred.mem))
         object.__setattr__(pred, "_refnames", names)
     return names
+
+
+def _kept_valuation_names(result: Predicate, p0: Predicate,
+                          p1: Predicate) -> frozenset[str]:
+    """:func:`_referenced_var_names` of a join *result*.  Mostly the join
+    keeps one side's valuations as they were; that side's names are then
+    the result's, already computed."""
+    for side in (p1, p0):
+        if result.regs == side.regs and result.mem == side.mem:
+            names = _referenced_var_names(side)
+            object.__setattr__(result, "_refnames", names)
+            return names
+    return _referenced_var_names(result)
 
 
 def _replace_clauses(pred: Predicate, clauses: frozenset[Clause]) -> Predicate:
@@ -756,46 +807,24 @@ def _join_foreign_var_clauses(
     side); one side bounds it and the other side never references it → the
     bound is kept (the variable is free there, any witness works); one side
     bounds it but the other references it → dropped (unknown value)."""
-    def grouped(pred: Predicate) -> dict[Var, list[Clause]]:
+    def foreign(clauses: frozenset[Clause]) -> dict[Var, list[Clause]]:
+        index = _clause_index(clauses)
         out: dict[Var, list[Clause]] = {}
-        for lhs, group in _clause_index(pred.clauses).items():
-            if isinstance(lhs, Var) and lhs.name.startswith("join@") \
-                    and not lhs.name.startswith(own_prefix):
+        for var in index.join_vars:
+            if not var.name.startswith(own_prefix):
                 # The group also holds ``C op var`` clauses; keep ``var op C``.
-                bounds = [clause for clause in group
+                bounds = [clause for clause in index[var]
                           if isinstance(clause.lhs, Var)]
                 if bounds:
-                    out[lhs] = bounds
+                    out[var] = bounds
         return out
 
-    def references(pred: Predicate) -> set[str]:
-        # "Free on this side" must consider *every* place the predicate
-        # can pin the variable: valuations, flags operands (a branch on
-        # joined flags constrains them), and compound clause expressions.
-        # Missing the flags made a kept one-sided bound contradict the
-        # other path's flag state — an unsound (unsatisfiable) join.
-        names = set(_referenced_var_names(pred))
-        if pred.flags is not None:
-            for operand in (pred.flags.a, pred.flags.b):
-                if operand is not None:
-                    names.update(variable_names(operand))
-        for clause in pred.clauses:
-            if not isinstance(clause.lhs, Var):
-                names.update(variable_names(clause.lhs))
-            if not isinstance(clause.rhs, Const):
-                names.update(variable_names(clause.rhs))
-        return names
-
-    by_var0, by_var1 = grouped(p0), grouped(p1)
+    by_var0, by_var1 = foreign(p0.clauses), foreign(p1.clauses)
     if not by_var0 and not by_var1:
         return frozenset()
-    refs: dict[int, set[str]] = {}  # computed for a one-sided bound only
 
     def free_in(var: Var, side: int) -> bool:
-        names = refs.get(side)
-        if names is None:
-            names = refs[side] = references((p0, p1)[side])
-        return var.name not in names
+        return var.name not in _references((p0, p1)[side])
 
     kept: set[Clause] = set()
     for var in set(by_var0) | set(by_var1):
@@ -814,6 +843,33 @@ def _join_foreign_var_clauses(
         elif clauses1 and free_in(var, 0):
             kept.update(clauses1)
     return frozenset(kept)
+
+
+def _references(pred: Predicate) -> frozenset[str]:
+    """Every variable name *pred* can pin (cached on the predicate).
+
+    "Free on this side" must consider *every* place the predicate can pin
+    the variable: valuations, flags operands (a branch on joined flags
+    constrains them), and compound clause expressions.  Missing the flags
+    made a kept one-sided bound contradict the other path's flag state —
+    an unsound (unsatisfiable) join."""
+    names = pred.__dict__.get("_refs")
+    if names is None:
+        names = _referenced_var_names(pred)
+        flags = pred.flags
+        operands = () if flags is None else (flags.a, flags.b)
+        extra = [found for found in (
+            *(variable_names(operand) for operand in operands
+              if operand is not None),
+            *(variable_names(clause.lhs) for clause in pred.clauses
+              if not isinstance(clause.lhs, Var)),
+            *(variable_names(clause.rhs) for clause in pred.clauses
+              if not isinstance(clause.rhs, Const)),
+        ) if not found <= names]
+        if extra:  # else share the valuations' set: no copy per predicate
+            names = names.union(*extra)
+        object.__setattr__(pred, "_refs", names)
+    return names
 
 
 def less_abstract(p0: Predicate, p1: Predicate, rip: int) -> bool:

@@ -8,7 +8,7 @@ deterministic unknowns) and ``reachable`` implements Section 4.2.2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.elf import Binary
 from repro.expr import Const, Expr, Var
@@ -57,14 +57,16 @@ class SymState:
             return value.value
         return None
 
+    # The functional updates construct directly: ``dataclasses.replace``
+    # walks the field list on every call, and τ calls these per step.
     def with_pred(self, pred: Predicate) -> "SymState":
-        return replace(self, pred=pred)
+        return SymState(pred, self.model, self.epoch, self.reachable)
 
     def with_model(self, model: MemModel) -> "SymState":
-        return replace(self, model=model)
+        return SymState(self.pred, model, self.epoch, self.reachable)
 
     def mark_reachable(self, flag: bool = True) -> "SymState":
-        return replace(self, reachable=flag)
+        return SymState(self.pred, self.model, self.epoch, flag)
 
     def __str__(self) -> str:
         return f"⟨{self.pred}, {self.model}, epoch={self.epoch}⟩"

@@ -71,6 +71,25 @@ class Region:
     addr: Expr
     size: int
 
+    #: The cached hash sits in a slot beside the instance dict, which
+    #: keeps only the fields.
+    __slots__ = ("__dict__", "__weakref__", "_hash")
+
+    def __hash__(self) -> int:
+        # The generated frozen-dataclass hash, cached on first use:
+        # regions key the memory valuations and the model's region index.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.addr, self.size))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        # The fields only: the cached hash is salted per process and stays
+        # out of pickles, so a region pickles to the same bytes hashed or not.
+        return self.__dict__
+
     def __str__(self) -> str:
         return f"[{self.addr}, {self.size}]"
 

@@ -11,11 +11,14 @@ and predicate pickles that do not depend on the hash seed.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
 import pickle
 import subprocess
 import sys
+
+import pytest
 
 import repro.memmodel.model as model_mod
 import repro.pred.predicate as pred_mod
@@ -232,10 +235,11 @@ def _sample_predicate() -> Predicate:
 def test_caches_stay_out_of_pickles():
     pred = _sample_predicate()
     hash(pred)
-    pred_mod._referenced_var_names(pred)
-    assert {"_hash", "_refnames"} <= set(vars(pred))
+    pred_mod._references(pred)
+    caches = {"_hash", "_refnames", "_refs"}
+    assert caches <= set(vars(pred))
     loaded = pickle.loads(pickle.dumps(pred))
-    assert loaded == pred and not {"_hash", "_refnames"} & set(vars(loaded))
+    assert loaded == pred and not caches & set(vars(loaded))
 
     tree = MemTree(frozenset({Region(Var("rsp0"), 8), Region(Var("p"), 8)}))
     str(tree), tree.representative()
@@ -243,6 +247,27 @@ def test_caches_stay_out_of_pickles():
     loaded_model = pickle.loads(pickle.dumps(MemModel(frozenset({tree}))))
     (loaded_tree,) = loaded_model.trees
     assert loaded_tree == tree and not {"_str", "_rep"} & set(vars(loaded_tree))
+
+
+def _values_with_cached_hashes() -> list:
+    x = Var("join@0x401000@rax")
+    return [Clause(x, "leu", Const(9)), Clause(Var("n0"), "lts", x, 32),
+            Region(Var("rsp0"), 8), Region(Const(0x404000), 4)]
+
+
+@pytest.mark.parametrize("value", _values_with_cached_hashes(), ids=repr)
+def test_cached_hashes_stay_out_of_pickles(value):
+    fields = tuple(getattr(value, field.name)
+                   for field in dataclasses.fields(value))
+    fresh = type(value)(*fields)
+    before = pickle.dumps(fresh, protocol=pickle.HIGHEST_PROTOCOL)
+    assert not hasattr(fresh, "_hash")
+    assert hash(fresh) == hash(fields)
+    assert fresh._hash == hash(fields)  # cached
+    assert pickle.dumps(fresh, protocol=pickle.HIGHEST_PROTOCOL) == before
+    loaded = pickle.loads(before)
+    assert loaded == fresh and not hasattr(loaded, "_hash")
+    assert hash(loaded) == hash(fields)
 
 
 _PICKLER = """

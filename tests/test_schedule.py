@@ -218,3 +218,71 @@ def test_cfg_function_partition_is_deterministic():
     assert set(first.functions) == {result.entry}
     # Every block is reachable from the entry in the partition.
     assert set(first.blocks) == first.functions[result.entry]
+
+
+# -- one decode per address per lift ----------------------------------------
+
+@pytest.fixture
+def fetches(monkeypatch):
+    """Every address ``Binary.fetch`` is called on, in call order."""
+    from repro.elf import Binary
+
+    calls: list[int] = []
+    fetch = Binary.fetch
+
+    def counting(self, addr):
+        calls.append(addr)
+        return fetch(self, addr)
+
+    monkeypatch.setattr(Binary, "fetch", counting)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["scc", "address"])
+def test_a_lift_decodes_each_address_once(fetches, mode):
+    # A loop re-explores its body; the scan already decoded all of it.
+    binary = jump_over_loop_nest()
+    result = lift(binary, cache=False, schedule=mode)
+    assert fetches and len(fetches) == len(set(fetches))
+    assert set(result.graph.instructions) <= set(fetches)
+
+
+def test_two_lifts_of_one_binary_each_decode(fetches):
+    binary = jump_over_loop_nest()
+    first = lift(binary, cache=False)
+    once = list(fetches)
+    second = lift(binary, cache=False)
+    assert fetches[len(once):] == once
+    assert _lift_fingerprint(first) == _lift_fingerprint(second)
+
+
+def undecodable_targets() -> "Binary":
+    """A branch to bytes that do not decode, and a jump out of the image."""
+    builder = BinaryBuilder("undecodable")
+    t = builder.text
+    t.label("main")
+    t.emit("cmp", "rdi", Imm(0, 32))
+    t.emit("je", "bad")
+    t.emit("jmp", Imm(0x100000, 32))
+    t.label("bad")
+    t.raw(b"\x06")
+    return builder.build(entry="main")
+
+
+@pytest.mark.parametrize("mode", ["scc", "address"])
+def test_undecodable_addresses_annotate_with_the_fetch_error(mode):
+    from repro.elf.image import FetchError
+    from repro.hoare.annotations import Annotation
+    from repro.isa import DecodeError
+
+    binary = undecodable_targets()
+    result = lift(binary, cache=False, schedule=mode)
+    expected, kinds = [], set()
+    for annotation in result.annotations:
+        with pytest.raises((FetchError, DecodeError)) as error:
+            binary.fetch(annotation.addr)
+        kinds.add(error.type)
+        expected.append(Annotation("undecodable", annotation.addr,
+                                   str(error.value)))
+    assert kinds == {FetchError, DecodeError}
+    assert result.annotations == expected
