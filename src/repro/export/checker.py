@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.expr import (
-    MASK64, EvalEnv, EvalError, Var, compile_expr, evaluate, variables_of,
+    MASK64, EvalEnv, EvalError, Var, compile_expr, mask, to_signed,
+    variables_of,
 )
 from repro.hoare import LiftResult
 from repro.hoare.graph import VertexKey
@@ -41,6 +42,7 @@ from repro.obs.metrics import metrics as _M
 from repro.obs.tracer import tracer as _T
 from repro.perf import collector_paused
 from repro.pred.clause import compile_clause
+from repro.pred.predicate import _clause_sort_key
 from repro.semantics import SymState
 from repro.smt.linear import linearize
 from repro.smt.solver import region_key
@@ -112,8 +114,9 @@ class _WitnessSampler:
 
     Everything a witness needs that depends on the state alone is worked
     out here once: the variables in sampling order with how each is drawn,
-    each guided variable's own clauses, the aliasing moves and the
-    compiled register and memory valuations.  :func:`check_triples` builds
+    each guided variable's own clauses, the aliasing moves, the compiled
+    register and memory valuations, the flags closure and the residual
+    precondition (:meth:`residual_holds`).  :func:`check_triples` builds
     one plan per ``(source, instruction)`` group, so a witness attempt only
     draws values and runs compiled expressions.
 
@@ -128,6 +131,7 @@ class _WitnessSampler:
 
     def __init__(self, state: SymState):
         self.state = state
+        self.rip = state.rip or 0
         pred = state.pred
         #: (name, kind, data) in sampling order: a fixed value, a bounded
         #: value (interval start, randint bits), or a guided value with
@@ -140,14 +144,37 @@ class _WitnessSampler:
         self.alias_moves = [self._alias_plan(group)
                             for group in self._alias_groups()]
         valued: dict[str, Callable] = {}
+        #: The residual precondition (see residual_holds): the register
+        #: valuations construction does not write, as (register, value,
+        #: mask of its width).
+        self.check_regs = []
         for reg, value in pred.regs:
-            valued.setdefault(reg, compile_expr(value))
+            if reg in GPR64 and reg not in valued:
+                valued[reg] = compile_expr(value)
+            else:
+                self.check_regs.append((reg, compile_expr(value),
+                                        mask(value.width)))
         #: (register, compiled value or None for a random one), GPR64 order.
         self.regs = tuple((reg, valued.get(reg)) for reg in GPR64)
-        #: (address, value, size, mask of size bytes) per memory valuation.
+        #: (address, value, size, mask of size bytes, mask of the value's
+        #: width) per memory valuation.
         self.mem = tuple((compile_expr(region.addr), compile_expr(value),
-                          region.size, (1 << (8 * region.size)) - 1)
+                          region.size, (1 << (8 * region.size)) - 1,
+                          mask(value.width))
                          for region, value in pred.mem)
+        #: Bytes the memory valuations write when no two of them overlap.
+        self.mem_bytes = sum(region.size for region, _ in pred.mem)
+        #: Some value is wider than its region: the store truncates it,
+        #: and reading it back need not give the value.
+        self.mem_wide = any(value.width > 8 * region.size
+                            for region, value in pred.mem)
+        #: Every relational clause, in the order Predicate.holds checks them.
+        self.check_clauses = tuple(
+            compile_clause(clause)
+            for clause in sorted(pred.clauses, key=_clause_sort_key))
+        #: ``env -> flags`` from the recorded flag state, or None.
+        self.flags = (None if pred.flags is None
+                      else _compile_flags(pred.flags))
 
     def _collect_vars(self) -> set[Var]:
         pred = self.state.pred
@@ -205,14 +232,21 @@ class _WitnessSampler:
 
     def sample_variables(self, rng: random.Random) -> dict[str, int] | None:
         variables: dict[str, int] = {}
+        getrandbits = rng.getrandbits
+        (page_n, page_bits), (small_n, small_bits) = _PAGE, _SMALL
         for name, kind, data in self.variables:
-            if kind is _FIXED:
-                variables[name] = data
-            elif kind is _FREE:
+            if kind is _FREE:
                 # _guided_value without clauses: both draws are made and
-                # the spread pointer-ish value is taken.
-                variables[name] = SCRATCH_BASE + 0x1000 * _draw(rng, *_PAGE)
-                _draw(rng, *_SMALL)
+                # the spread pointer-ish value is taken.  Most variables
+                # are free, so the two _draw calls are inlined here.
+                page = getrandbits(page_bits)
+                while page >= page_n:
+                    page = getrandbits(page_bits)
+                variables[name] = SCRATCH_BASE + 0x1000 * page
+                while getrandbits(small_bits) >= small_n:
+                    pass
+            elif kind is _FIXED:
+                variables[name] = data
             elif kind is _BOUNDED:
                 lo, n, bits = data
                 variables[name] = lo + _draw(rng, n, bits)
@@ -229,6 +263,38 @@ class _WitnessSampler:
             for name, const in moves:
                 variables[name] = (target - const) % (1 << 64)
         return variables
+
+    def residual_holds(self, env: EvalEnv, memory: Memory) -> bool:
+        """``s ⊢ P`` for a witness built from this plan, checking only what
+        construction does not establish.
+
+        Construction wrote each register's first valuation and every
+        memory valuation from the very closures ``Predicate.holds`` runs,
+        on the same env, so those checks cannot fail.  Nor can they draw:
+        every initial-memory byte they read was drawn while the witness
+        was built.  What is left: the other register valuations (``rip``);
+        the memory valuations when two written spans overlap (fewer bytes
+        written than the valuations' sizes add up to) or some value is
+        wider than its region; and every relational clause, in the order
+        ``Predicate.holds`` checks them.  The result, and every rng draw
+        made on the way, is that of ``Predicate.holds``."""
+        try:
+            registers = env.registers
+            for reg, value_fn, m in self.check_regs:
+                actual = registers.get(reg)
+                if actual is None or (actual & m) != value_fn(env):
+                    return False
+            if self.mem_wide or len(memory.bytes) < self.mem_bytes:
+                for addr_fn, value_fn, size, _, m in self.mem:
+                    actual = memory.read(addr_fn(env), size)
+                    if (actual & m) != value_fn(env):
+                        return False
+            for clause_fn in self.check_clauses:
+                if not clause_fn(env):
+                    return False
+        except EvalError:
+            return False
+        return True
 
 
 #: How a witness variable is drawn (see _WitnessSampler.variables).
@@ -282,17 +348,34 @@ def _guided_value(name: str, own_clauses, rng: random.Random) -> int:
     return positive
 
 
-def _make_initial_reader(binary, overlay: dict[int, int], rng: random.Random):
+def _make_initial_reader(binary, overlay: dict[int, int],
+                         stores: list[tuple[int, bytes]], rng: random.Random):
+    """The witness's initial memory, fixed byte by byte when first read.
+
+    A byte is the first of *stores* that covers it (a memory valuation
+    also defines initial memory where it is still undefined), else the
+    binary's, else a random one.  *overlay* keeps every byte once read,
+    so a later store cannot change it.  Resolving stores at the read
+    gives the bytes that writing each store into *overlay* where still
+    undefined gives, and reads are rare next to stores."""
+    n, bits = _SMALL
+
     def read(addr: int, size: int) -> int:
         value = 0
         for i in range(size):
             a = (addr + i) & MASK64
             if a not in overlay:
-                section = binary.section_at(a)
-                if section is not None:
-                    overlay[a] = section.data[a - section.addr]
+                for start, data in stores:
+                    offset = (a - start) & MASK64
+                    if offset < len(data):
+                        overlay[a] = data[offset]
+                        break
                 else:
-                    overlay[a] = rng.randint(0, 255)
+                    section = binary.section_at(a)
+                    if section is not None:
+                        overlay[a] = section.data[a - section.addr]
+                    else:
+                        overlay[a] = _draw(rng, n, bits)
             value |= overlay[a] << (8 * i)
         return value
 
@@ -306,132 +389,167 @@ def build_witness(
 
     The state is filled in one pass, in the order the rng is drawn from:
     the variables, the registers in GPR64 order (valued ones from the
-    predicate, the rest random), the memory valuations, then the flags."""
-    state = sampler.state
+    predicate, the rest random), the memory valuations, then the flags.
+    It is then checked against what that construction does not establish
+    (:meth:`_WitnessSampler.residual_holds`) and against the memory model:
+    sampled bases can break separation."""
+    witness = _construct_witness(sampler, binary, rng)
+    if witness is None:
+        return None
+    cpu, env = witness
+    if not sampler.residual_holds(env, cpu.memory):
+        return None
+    if not model_holds(sampler.state.model, env):
+        return None
+    return witness
+
+
+def _construct_witness(
+    sampler: _WitnessSampler, binary, rng: random.Random
+) -> tuple[CPU, EvalEnv] | None:
+    """The witness :func:`build_witness` checks, before any check."""
     variables = sampler.sample_variables(rng)
     if variables is None:
         return None
-    overlay: dict[int, int] = {}
-    read_initial = _make_initial_reader(binary, overlay, rng)
+    stores: list[tuple[int, bytes]] = []
+    read_initial = _make_initial_reader(binary, {}, stores, rng)
     env = EvalEnv(variables=variables, read_mem=read_initial)
     getrandbits = rng.getrandbits
-    regs: dict[str, int] = {}
     memory = Memory(binary)
     try:
-        for reg, value_fn in sampler.regs:
-            regs[reg] = getrandbits(32) if value_fn is None else value_fn(env)
+        regs = {reg: getrandbits(32) if value_fn is None else value_fn(env)
+                for reg, value_fn in sampler.regs}
         # Memory valuation clauses define current memory (and, where the
         # initial bytes are still undefined, initial memory too).
-        for addr_fn, value_fn, size, size_mask in sampler.mem:
+        for addr_fn, value_fn, size, size_mask, _ in sampler.mem:
             addr = addr_fn(env)
-            _store(memory.bytes, overlay, addr, value_fn(env) & size_mask,
-                   size)
+            _store(memory.bytes, stores, addr,
+                   (value_fn(env) & size_mask).to_bytes(size, "little"))
+        # Concrete flags: derived from the recorded flag state if any.
+        if sampler.flags is not None:
+            flags = sampler.flags(env)
+        else:
+            flags = {name: getrandbits(1) for name in FLAGS}
     except EvalError:
         return None
 
-    # Concrete flags: derive from the recorded flag state when available.
-    if state.pred.flags is not None:
-        try:
-            flags = _concrete_flags(state.pred.flags, env)
-        except EvalError:
-            return None
-    else:
-        flags = {name: getrandbits(1) for name in FLAGS}
-
-    # Assigned after construction: the defaults CPU() fills in (a stack
-    # top for an rsp of 0, its sentinel return address) are not sampled.
-    cpu = CPU(binary, rip=state.rip or 0)
-    cpu.regs, cpu.flags, cpu.memory = regs, flags, memory
+    # Nothing CPU() would default (a stack top for an rsp of 0, its
+    # sentinel return address) is made: the witness is the sampled state.
+    cpu = CPU.in_state(binary, sampler.rip, regs, flags, memory)
     env.registers = {**regs, "rip": cpu.rip}
-    if not state.pred.holds(env, read_current=memory.read):
-        return None
-    if not model_holds(state.model, env):
-        return None
     return cpu, env
 
 
-def _store(written: dict[int, int], overlay: dict[int, int], addr: int,
-           value: int, size: int) -> None:
-    """Write *value* into memory and into the initial memory *overlay*
-    where its bytes are still undefined."""
+def _store(written: dict[int, int], stores: list[tuple[int, bytes]],
+           addr: int, data: bytes) -> None:
+    """Write *data* at *addr* into current memory, and record the store
+    for the initial-memory reader."""
+    size = len(data)
     if addr + size <= 1 << 64:
-        store = dict(zip(range(addr, addr + size),
-                         value.to_bytes(size, "little")))
+        written.update(zip(range(addr, addr + size), data))
     else:
-        store = {(addr + i) & MASK64: (value >> (8 * i)) & 0xFF
-                 for i in range(size)}
-    written.update(store)
-    if overlay.keys().isdisjoint(store):
-        overlay.update(store)
-    else:
-        for a, byte in store.items():
-            overlay.setdefault(a, byte)
+        written.update(((addr + i) & MASK64, byte)
+                       for i, byte in enumerate(data))
+    stores.append((addr, data))
 
 
-def _concrete_flags(flags, env: EvalEnv) -> dict[str, int]:
-    from repro.expr import mask, to_signed
-
+def _compile_flags(flags) -> Callable[[EvalEnv], dict[str, int]]:
+    """A closure giving the concrete flags the recorded flag state sets:
+    ``a`` is evaluated, then ``b`` where the operation has one."""
     width = flags.width
-    a = evaluate(flags.a, env) & mask(width)
-    if flags.kind == "cmp" and flags.b is not None:
-        b = evaluate(flags.b, env) & mask(width)
-        result = (a - b) & mask(width)
-        cf = int(a < b)
-        of = int(
-            to_signed(a, width) - to_signed(b, width) != to_signed(result, width)
-        )
-    elif flags.kind == "test" and flags.b is not None:
-        b = evaluate(flags.b, env) & mask(width)
-        result = a & b
-        cf = of = 0
-    else:
-        result = a
-        cf = of = 0
-    return {"cf": cf, "zf": int(result == 0),
-            "sf": (result >> (width - 1)) & 1, "of": of,
-            "pf": 1 - (bin(result & 0xFF).count("1") & 1)}
+    m = mask(width)
+    a_fn = compile_expr(flags.a)
+    b_fn = None if flags.b is None else compile_expr(flags.b)
+    kind = flags.kind if b_fn is not None else None
+
+    def concrete(env: EvalEnv) -> dict[str, int]:
+        a = a_fn(env) & m
+        if kind == "cmp":
+            b = b_fn(env) & m
+            result = (a - b) & m
+            cf = int(a < b)
+            of = int(to_signed(a, width) - to_signed(b, width)
+                     != to_signed(result, width))
+        elif kind == "test":
+            result = a & b_fn(env) & m
+            cf = of = 0
+        else:
+            result = a
+            cf = of = 0
+        return {"cf": cf, "zf": int(result == 0),
+                "sf": (result >> (width - 1)) & 1, "of": of,
+                "pf": 1 - (bin(result & 0xFF).count("1") & 1)}
+
+    return concrete
 
 
-def _bind_unknowns(state: SymState, cpu: CPU, env: EvalEnv) -> dict[str, int]:
-    """Witness bindings for the destination's existential variables."""
-    bindings = dict(env.variables)
-    for reg, value in state.pred.regs:
-        if isinstance(value, Var) and value.name not in bindings:
-            bindings[value.name] = cpu.rip if reg == "rip" else cpu.regs.get(reg, 0)
-    for region, value in state.pred.mem:
-        if isinstance(value, Var) and value.name not in bindings:
-            try:
-                addr = evaluate(region.addr, EvalEnv(variables=bindings))
-            except EvalError:
-                continue
-            bindings[value.name] = cpu.memory.read(addr, region.size)
-    # Variables referenced only by bound clauses (e.g. joined flag-state
-    # operands): any in-bounds witness satisfies the state.
-    for clause in state.pred.clauses:
-        lhs = clause.lhs
-        if isinstance(lhs, Var) and lhs.name not in bindings:
-            interval = state.pred.interval_of(lhs)
-            bindings[lhs.name] = interval.lo if interval is not None else 0
-    if state.pred.flags is not None:
-        for operand in (state.pred.flags.a, state.pred.flags.b):
-            if operand is None:
-                continue
-            for node in operand.walk():
-                if isinstance(node, Var) and node.name not in bindings:
-                    interval = state.pred.interval_of(node)
-                    bindings[node.name] = (
-                        interval.lo if interval is not None else 0
-                    )
-    return bindings
+class _DestinationPlan:
+    """How a destination state's existential variables are bound.
+
+    Everything that depends on the state alone: the variables its
+    register and memory valuations hold (with each region's compiled
+    address), and the low bound each variable gets that only clauses or
+    the flag state mention (any in-bounds witness satisfies the state).
+    :func:`check_triples` builds one plan per destination, inside the
+    call, and :meth:`bind` runs it on every witness that lands there."""
+
+    def __init__(self, state: SymState):
+        self.state = state
+        pred = state.pred
+        #: (variable, register) per Var-valued register, in regs order.
+        self.regs = tuple((value.name, reg) for reg, value in pred.regs
+                          if isinstance(value, Var))
+        #: (variable, address, size) per Var-valued region, in mem order.
+        self.mem = tuple((value.name, compile_expr(region.addr), region.size)
+                         for region, value in pred.mem
+                         if isinstance(value, Var))
+        unbound = [clause.lhs for clause in pred.clauses]
+        if pred.flags is not None:
+            for operand in (pred.flags.a, pred.flags.b):
+                if operand is not None:
+                    unbound += operand.walk()
+        lows: dict[str, int] = {}
+        for node in unbound:
+            if isinstance(node, Var) and node.name not in lows:
+                interval = pred.interval_of(node)
+                lows[node.name] = interval.lo if interval is not None else 0
+        #: (variable, value) per variable only clauses or flags mention.
+        self.lows = tuple(lows.items())
+
+    def bind(self, cpu: CPU, env: EvalEnv) -> dict[str, int]:
+        """Witness bindings for the destination's existential variables:
+        the source's variables, then registers, regions and low bounds,
+        each binding a variable that is still unbound.  A region whose
+        address does not evaluate yet is skipped."""
+        bindings = dict(env.variables)
+        for name, reg in self.regs:
+            if name not in bindings:
+                bindings[name] = cpu.rip if reg == "rip" else cpu.regs.get(reg, 0)
+        if self.mem:
+            # Assigned, not passed: EvalEnv swaps an empty dict for a new
+            # one, and each region must see the variables bound before it.
+            addr_env = EvalEnv()
+            addr_env.variables = bindings
+            for name, addr_fn, size in self.mem:
+                if name not in bindings:
+                    try:
+                        addr = addr_fn(addr_env)
+                    except EvalError:
+                        continue
+                    bindings[name] = cpu.memory.read(addr, size)
+        for name, low in self.lows:
+            if name not in bindings:
+                bindings[name] = low
+        return bindings
 
 
-def _post_holds(state: SymState, cpu: CPU, env: EvalEnv) -> bool:
-    bindings = _bind_unknowns(state, cpu, env)
+def _post_holds(plan: _DestinationPlan, cpu: CPU, env: EvalEnv) -> bool:
     probe = EvalEnv(
-        variables=bindings,
+        variables=plan.bind(cpu, env),
         read_mem=env.read_mem,
         registers={**cpu.regs, "rip": cpu.rip},
     )
+    state = plan.state
     return state.pred.holds(probe, read_current=cpu.memory.read) and \
         model_holds(state.model, probe)
 
@@ -450,6 +568,8 @@ def _check_triples(result: LiftResult, samples: int, seed: int,
                    max_attempts_factor: int) -> CheckReport:
     graph = result.graph
     report = CheckReport()
+    #: One destination plan per destination reached, for this call only.
+    plans: dict[VertexKey, _DestinationPlan] = {}
     by_source: dict[tuple[VertexKey, int], list[VertexKey]] = {}
     for edge in graph.edges:
         by_source.setdefault((edge.src, edge.instr_addr), []).append(edge.dst)
@@ -484,7 +604,7 @@ def _check_triples(result: LiftResult, samples: int, seed: int,
             if witness is None:
                 continue
             cpu, env = witness
-            replayed = _replay_one(cpu, env, instr, dsts, graph)
+            replayed = _replay_one(cpu, env, instr, dsts, graph, plans)
             if replayed is None:
                 continue
             if not replayed:
@@ -509,7 +629,8 @@ def _check_triples(result: LiftResult, samples: int, seed: int,
     return report
 
 
-def _replay_one(cpu: CPU, env: EvalEnv, instr, dsts, graph) -> bool | None:
+def _replay_one(cpu: CPU, env: EvalEnv, instr, dsts, graph,
+                plans: dict[VertexKey, _DestinationPlan]) -> bool | None:
     """Whether the executed witness lands in some sink of the triple.
 
     None when the emulator raised: the witness drove it somewhere
@@ -529,7 +650,11 @@ def _replay_one(cpu: CPU, env: EvalEnv, instr, dsts, graph) -> bool | None:
                 return True
         else:
             dst_state = graph.vertices.get(dst)
-            if dst_state is not None and dst_state.rip == cpu.rip and \
-                    _post_holds(dst_state, cpu, env):
+            if dst_state is None or dst_state.rip != cpu.rip:
+                continue
+            plan = plans.get(dst)
+            if plan is None:
+                plan = plans[dst] = _DestinationPlan(dst_state)
+            if _post_holds(plan, cpu, env):
                 return True
     return False

@@ -113,6 +113,20 @@ class CPU:
             # A sentinel return address so a final `ret` halts cleanly.
             self.memory.write(STACK_TOP, _SENTINEL_RETURN, 8)
 
+    @classmethod
+    def in_state(cls, binary: Binary, rip: int, regs: dict[str, int],
+                 flags: dict[str, int], memory: Memory) -> "CPU":
+        """A CPU holding exactly the given state.  Unlike ``CPU(...)``,
+        no default is filled in or computed: an ``rsp`` of 0 stays 0, no
+        stack sentinel is written, and a missing register stays missing.
+        The other fields get their declared defaults."""
+        cpu = cls.__new__(cls)
+        cpu.__dict__.update(
+            binary=binary, regs=regs, flags=flags, memory=memory, rip=rip,
+            halted=False, exit_code=None, extern_handlers={}, trace=[],
+            max_steps=1_000_000)
+        return cpu
+
     # -- register access respecting sub-register semantics -----------------------
     def get_reg(self, name: str) -> int:
         width = reg_width(name)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.elf import BinaryBuilder
 from repro.isa import Imm, Mem, abs64, insn
-from repro.machine import CPU, MachineError, run_binary
+from repro.machine import CPU, MachineError, Memory, run_binary
 
 
 def build(program) -> "Binary":
@@ -256,3 +256,23 @@ def test_trace_records_executed_addresses():
     cpu = run_binary(build(program))
     assert cpu.trace[0] == cpu.binary.entry
     assert len(cpu.trace) == 2
+
+
+def test_a_cpu_in_state_holds_exactly_that_state():
+    # CPU.in_state fills in none of CPU()'s register, flag, rsp or stack
+    # defaults, and gives every other field its declared default.
+    def program(b):
+        b.text.label("main")
+        b.text.emit("ret")
+
+    binary = build(program)
+    regs, flags = {"rax": 7, "rsp": 0}, {"zf": 1}
+    memory = Memory(binary)
+    cpu = CPU.in_state(binary, 0x401000, regs, flags, memory)
+    assert cpu.regs is regs and cpu.flags is flags and cpu.memory is memory
+    assert cpu.rip == 0x401000 and memory.bytes == {}
+    default = CPU(binary)
+    assert vars(cpu).keys() == vars(default).keys()
+    for name in ("halted", "exit_code", "extern_handlers", "trace",
+                 "max_steps"):
+        assert getattr(cpu, name) == getattr(default, name), name

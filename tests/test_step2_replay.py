@@ -11,16 +11,22 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 from repro.export.checker import (
-    _WitnessSampler, _draw, _randint_bits, build_witness, check_triples,
+    _WitnessSampler, _construct_witness, _draw, _randint_bits, build_witness,
+    check_triples,
 )
-from repro.hoare import lift
-from repro.expr import const
+from repro.hoare import lift, lift_function
+from repro.expr import Var, const
+from repro.expr.simplify import sub
 from repro.machine.cpu import CPU, STACK_TOP
+from repro.memmodel import model_holds
+from repro.pred.clause import Clause
 from repro.perf import cache_stats, reset_caches
 from repro.qa import faults
 from repro.qa.targets import build_target
+from repro.smt.solver import Region
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -104,6 +110,80 @@ def test_the_witness_stream_is_pinned():
     assert digest.hexdigest() == WITNESS_STREAM_DIGEST
 
 
+def _with_valuations(state, valuations):
+    """*state* with extra memory valuations ``(rsp0 offset, size, value)``."""
+    rsp0 = Var("rsp0")
+    mem = state.pred.mem_dict()
+    for offset, size, value in valuations:
+        mem[Region(sub(rsp0, const(offset)), size)] = value
+    return state.with_pred(state.pred.with_mem(mem))
+
+
+def _residual_outcomes(states, binary) -> Counter:
+    """Build three witnesses per state as build_witness does, and check
+    each with both the residual precondition and the full s ⊢ P."""
+    outcomes = Counter()
+    for state in states:
+        sampler = _WitnessSampler(state)
+        rng = random.Random(2022 ^ (state.rip or 0))
+        for _ in range(3):
+            witness = _construct_witness(sampler, binary, rng)
+            if witness is None:
+                outcomes["unbuilt"] += 1
+                continue
+            cpu, env = witness
+            residual = sampler.residual_holds(env, cpu.memory)
+            drawn = rng.getstate()
+            full = state.pred.holds(env, read_current=cpu.memory.read)
+            assert residual == full, (state, env.variables)
+            # What the residual check skips was drawn during construction.
+            assert rng.getstate() == drawn, state
+            overlap = len(cpu.memory.bytes) < sampler.mem_bytes
+            outcomes[("holds" if full else "fails")
+                     + (" after overlap" if overlap else "")] += 1
+            if residual:
+                # As build_witness does, so later attempts draw as replay's.
+                model_holds(state.model, env)
+    return outcomes
+
+
+def test_the_residual_precondition_agrees_with_the_full_check():
+    # build_witness checks only what construction does not establish; on
+    # every attempt that must decide exactly what Predicate.holds decides,
+    # with the same rng draws, or replay reports move.
+    outcomes = Counter()
+    for binary, function in replay_subjects().values():
+        result = lift_subject(binary, function)
+        states = [state for _, state
+                  in sorted(result.graph.vertices.items(), key=str)]
+        outcomes += _residual_outcomes(states, result.binary)
+    # Lifted states overlap valuations (aliased regions), but their
+    # clauses hold on every witness drawn here.
+    assert outcomes["holds"] > 100 and outcomes["fails after overlap"] > 10, \
+        outcomes
+    # So clauses that fail are added by hand, beside the overlap and width
+    # exceptions: two valuations whose spans overlap (consistently or
+    # not), and values wider than their regions (fitting in them or not).
+    result = lift(build_target("guard"))
+    _, state = min(result.graph.vertices.items(), key=str)
+    rsp0 = Var("rsp0")
+    fails, holds = Clause(rsp0, "eq", const(0)), Clause(rsp0, "ne", const(0))
+    extra = [
+        state.with_pred(state.pred.with_clauses([fails])),
+        state.with_pred(state.pred.with_clauses([fails, holds])),
+        state.with_pred(state.pred.with_clauses([holds])),
+        _with_valuations(state, [(0x1000, 8, const(0x1111)),
+                                 (0x0FFC, 8, const(0x2222))]),
+        _with_valuations(state, [(0x1000, 8, const(0x1111)),
+                                 (0x1000, 4, const(0x1111, 32))]),
+        _with_valuations(state, [(0x1000, 1, const(0x1234))]),
+        _with_valuations(state, [(0x1000, 1, const(0x12))]),
+    ]
+    assert _residual_outcomes(extra, result.binary) == {
+        "fails": 3 * 3, "holds": 3 * 2,
+        "fails after overlap": 3, "holds after overlap": 3}
+
+
 def test_a_witness_the_emulator_cannot_execute_is_not_evidence(monkeypatch):
     result = lift(build_target("guard"))
     report = check_triples(result, samples=2)
@@ -139,42 +219,52 @@ def test_jcc_fault_fails_triples_after_the_memos_are_warm():
 
 # -- the same reports under every hash seed -----------------------------------
 
+
+def replay_subjects() -> dict:
+    """Name -> (binary, function lifted on its own or None) of every
+    program the hash-seed test below lifts."""
+    from repro.corpus import templates as T
+    from repro.minicc import compile_source
+
+    subjects = {name: (build_target(name), None)
+                for name in ("guard", "loop", "stack", "branch")}
+    subjects["localbuf"] = (compile_source(
+        T.make_local_buffer("s")
+        + "long main(long n) { return localbuf_s(n); }",
+        name="localbuf"), None)
+    subjects["fsm"] = (compile_source(
+        T.make_state_machine("s") + "long main(long n) { return fsm_s(n, 2); }",
+        name="fsm"), None)
+    # Two loops whose ascent probe commits (tests/test_ascent_probe.py).
+    subjects["loopsum"] = (compile_source(
+        T.make_loop_sum("s") + "long main(long n) { return loopsum_s(n); }",
+        name="loopsum"), None)
+    subjects["scan"] = (compile_source(
+        T.make_byte_scanner("s") + "long main(long n) { return scan_s(n); }",
+        name="scan"), None)
+    # A library function, lifted on its own as the corpus does.  Its lift
+    # builds a model that holds one region in two nodes, where the region
+    # index must pick a node that does not depend on set order.
+    subjects["localbuf_fn"] = (compile_source(
+        T.make_local_buffer("sb"), name="localbuf", entry="localbuf_sb",
+        export_labels=True), "localbuf_sb")
+    return subjects
+
+
+def lift_subject(binary, function):
+    if function is None:
+        return lift(binary, cache=False)
+    return lift_function(binary, function, cache=False)
+
+
 _REPORTER = """
 import hashlib, json, pickle
-from repro.corpus import templates as T
 from repro.export.checker import check_triples
-from repro.hoare import lift, lift_function
-from repro.minicc import compile_source
-from repro.qa.targets import build_target
+from tests.test_step2_replay import lift_subject, replay_subjects
 
-subjects = {name: build_target(name)
-            for name in ("guard", "loop", "stack", "branch")}
-subjects["localbuf"] = compile_source(
-    T.make_local_buffer("s") + "long main(long n) { return localbuf_s(n); }",
-    name="localbuf")
-subjects["fsm"] = compile_source(
-    T.make_state_machine("s") + "long main(long n) { return fsm_s(n, 2); }",
-    name="fsm")
-# Two loops whose ascent probe commits (tests/test_ascent_probe.py).
-subjects["loopsum"] = compile_source(
-    T.make_loop_sum("s") + "long main(long n) { return loopsum_s(n); }",
-    name="loopsum")
-subjects["scan"] = compile_source(
-    T.make_byte_scanner("s") + "long main(long n) { return scan_s(n); }",
-    name="scan")
-# A library function, lifted on its own as the corpus does.  Its lift
-# builds a model that holds one region in two nodes, where the region
-# index must pick a node that does not depend on set order.
-functions = {"localbuf_fn": "localbuf_sb"}
-subjects["localbuf_fn"] = compile_source(
-    T.make_local_buffer("sb"), name="localbuf", entry="localbuf_sb",
-    export_labels=True)
 out = {"payloads": {}, "replays": {}}
-for name, binary in subjects.items():
-    if name in functions:
-        result = lift_function(binary, functions[name], cache=False)
-    else:
-        result = lift(binary, cache=False)
+for name, (binary, function) in replay_subjects().items():
+    result = lift_subject(binary, function)
     result.stats.seconds = 0.0
     # The bytes a lift-store entry would hold.
     blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
@@ -208,7 +298,7 @@ print(json.dumps(out))
 
 def _report_under_seed(seed: int) -> dict:
     env = dict(os.environ, PYTHONHASHSEED=str(seed),
-               PYTHONPATH=os.path.join(REPO, "src"))
+               PYTHONPATH=os.pathsep.join((os.path.join(REPO, "src"), REPO)))
     out = subprocess.run([sys.executable, "-c", _REPORTER], env=env,
                          capture_output=True, text=True, check=True,
                          timeout=300)
