@@ -133,10 +133,16 @@ class _WitnessSampler:
         self.state = state
         self.rip = state.rip or 0
         pred = state.pred
+        # Each variable's own clauses, in the order of the state's clause
+        # set: _guided_value stops at the first clause that cannot be
+        # evaluated, so the order can change a draw.
+        own: dict = {}
+        for clause in pred.clauses:
+            own.setdefault(clause.normalized().lhs, []).append(clause)
         #: (name, kind, data) in sampling order: a fixed value, a bounded
         #: value (interval start, randint bits), or a guided value with
         #: or without own-clause checks.
-        self.variables = [self._variable_plan(var)
+        self.variables = [self._variable_plan(var, own.get(var, ()))
                           for var in sorted(self._collect_vars(), key=str)]
         #: Forced aliasing: (anchor address, [(variable, constant)]) per
         #: node of several regions; each move sets the variable so that
@@ -189,7 +195,9 @@ class _WitnessSampler:
         exprs += (region.addr for region in self.state.model.all_regions())
         return set().union(*map(variables_of, exprs))
 
-    def _variable_plan(self, var: Var) -> tuple:
+    def _variable_plan(self, var: Var, own_clauses) -> tuple:
+        """How *var* is drawn; *own_clauses* are the state's clauses
+        whose normalized left side is *var*."""
         name = var.name
         if name == "rsp0":
             return name, _FIXED, WITNESS_STACK
@@ -199,12 +207,8 @@ class _WitnessSampler:
         if interval is not None and interval.size() < (1 << 32):
             return name, _BOUNDED, (interval.lo,
                                     *_randint_bits(interval.lo, interval.hi))
-        own_clauses = tuple(
-            compile_clause(clause) for clause in self.state.pred.clauses
-            if clause.normalized().lhs == var
-        )
         if own_clauses:
-            return name, _GUIDED, own_clauses
+            return name, _GUIDED, tuple(map(compile_clause, own_clauses))
         return name, _FREE, None
 
     def _alias_groups(self) -> list[list]:

@@ -276,19 +276,22 @@ def build_schedule(binary: Binary, entry: int,
     loop_heads: set[int] = set()
     loop_ranks: set[int] = set()
     loops = 0
+    predecessors: dict[int, list[int]] | None = None
     for scc_index, members in enumerate(sccs):
         is_loop = len(members) > 1 or members[0] in flow.get(members[0], ())
         if not is_loop:
             continue
+        if predecessors is None:
+            predecessors = _predecessor_map(flow)
         loops += 1
         rank = total - 1 - scc_index
         loop_ranks.add(rank)
-        scc_set = set(members)
+        # A head is entered from outside its SCC (or is the entry).
         heads = sorted(
             member for member in members
             if member == entry or any(
-                pred not in scc_set
-                for pred in _predecessors_of(member, flow)
+                component_of[pred] != scc_index
+                for pred in predecessors.get(member, ())
             )
         )
         # A loop unreachable except through its own cycle (cannot happen
@@ -308,7 +311,11 @@ def build_schedule(binary: Binary, entry: int,
     return schedule
 
 
-def _predecessors_of(addr: int, flow: dict[int, tuple[int, ...]]):
+def _predecessor_map(
+        flow: dict[int, tuple[int, ...]]) -> dict[int, list[int]]:
+    """Every flow node's predecessors, from one pass over the edges."""
+    predecessors: dict[int, list[int]] = {}
     for src, dsts in flow.items():
-        if addr in dsts:
-            yield src
+        for dst in dsts:
+            predecessors.setdefault(dst, []).append(src)
+    return predecessors

@@ -46,8 +46,10 @@ Failure modes
 * a cached ``timeout`` verdict is replayed as-is — a function that sat
   close to its CPU budget is frozen on whichever side of it the cold
   run landed (the same caveat the parallel runner documents);
-* concurrent writers (``run_corpus(jobs=N)``) race only on the index;
-  entry files are written to a temp name and atomically renamed.
+* concurrent writers (``run_corpus(jobs=N)``, the serve daemon and its
+  workers) share the index through an append-only journal under a lock
+  file (:class:`LiftStore`); entry files are written to a temp name and
+  atomically renamed.
 
 The store is an optimization **only**: Step-2 verification
 (:mod:`repro.verify`, triple replay via ``python -m repro check``) never
@@ -56,15 +58,20 @@ reads it — it replays the in-memory graph it is handed, cached or not.
 
 from __future__ import annotations
 
+import copyreg
+import fcntl
 import hashlib
 import importlib
 import io
+import json
 import os
 import pickle
 import platform
 import sys
+import threading
 import time
 import types
+from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
@@ -145,34 +152,94 @@ def _hash_callable(h, qualname: str, code: types.CodeType) -> None:
             h.update(repr(const).encode())
 
 
-def _trusted_walk() -> list:
+class _WalkSnapshot(NamedTuple):
+    """What the last full walk saw, for :func:`_snapshot_holds`: the
+    trusted modules as ``(name, module)``, every walked namespace as
+    ``(owner, items)`` (each module and each class it defines), and every
+    walked function as ``(function, code object)``."""
+
+    version: str
+    modules: tuple
+    namespaces: tuple
+    functions: tuple
+
+
+#: Full walks run in this process (tests check that a steady-state
+#: :func:`semantics_fingerprint` call runs none).
+walk_count = 0
+
+
+def _trusted_walk() -> tuple[list, _WalkSnapshot]:
     """Everything the fingerprint reads from the trusted modules, in
     hashing order: each module's source digest (``bytes``), then a
-    ``(qualname, code object)`` pair per function and method it exposes."""
+    ``(qualname, code object)`` pair per function and method it exposes.
+    Also the snapshot that tells a later call nothing has changed."""
+    global walk_count
+    walk_count += 1
     walk: list = []
+    modules: list = []
+    namespaces: list = []
+    functions: list = []
     for module_name in _TRUSTED_MODULES:
         module = sys.modules.get(module_name)
         if module is None:
             module = importlib.import_module(module_name)
+        modules.append((module_name, module))
         module_file = getattr(module, "__file__", None)
         if module_file:
             walk.append(_source_digest(module_file))
-        for name, obj in sorted(vars(module).items()):
+        items = tuple(vars(module).items())
+        namespaces.append((module, items))
+        for name, obj in sorted(items):
             if isinstance(obj, types.FunctionType):
                 walk.append((f"{module_name}.{name}", obj.__code__))
+                functions.append((obj, obj.__code__))
             elif isinstance(obj, type) and obj.__module__ == module_name:
-                for attr, member in sorted(vars(obj).items()):
+                # Pickling a class's first instance caches __slotnames__
+                # on the class; cache it now, so that the first store
+                # does not look like a patch to _snapshot_holds.
+                copyreg._slotnames(obj)
+                members = tuple(vars(obj).items())
+                namespaces.append((obj, members))
+                for attr, member in sorted(members):
                     if isinstance(member, (staticmethod, classmethod)):
                         member = member.__func__
                     if isinstance(member, types.FunctionType):
                         walk.append((f"{module_name}.{name}.{attr}",
                                      member.__code__))
-    return walk
+                        functions.append((member, member.__code__))
+    return walk, _WalkSnapshot(SEMANTICS_VERSION, tuple(modules),
+                               tuple(namespaces), tuple(functions))
 
 
-#: ``(inputs, walk, fingerprint)`` of the last computation.  *walk* keeps
-#: the code objects alive, so no id in *inputs* can be reused by another.
-_fingerprint_memo: tuple[tuple, list, str] | None = None
+def _snapshot_holds(snapshot: _WalkSnapshot) -> bool:
+    """True when a walk now would read what *snapshot* recorded.
+
+    A walk reads only the trusted modules' namespaces (which functions
+    and classes they bind), the classes' namespaces and each function's
+    ``__code__``.  So it is enough that each module is still the one in
+    ``sys.modules``, that every namespace holds the same items (one tuple
+    comparison each, by identity for unchanged values), that every
+    function still has its code object, and that the version is the same.
+    """
+    if snapshot.version != SEMANTICS_VERSION:
+        return False
+    modules = sys.modules
+    for name, module in snapshot.modules:
+        if modules.get(name) is not module:
+            return False
+    for owner, items in snapshot.namespaces:
+        if tuple(vars(owner).items()) != items:
+            return False
+    for function, code in snapshot.functions:
+        if function.__code__ is not code:
+            return False
+    return True
+
+
+#: ``(inputs, snapshot, fingerprint)`` of the last full walk.  *snapshot*
+#: keeps the code objects alive, so no id in *inputs* can be reused.
+_fingerprint_memo: tuple[tuple, _WalkSnapshot, str] | None = None
 
 
 def semantics_fingerprint() -> str:
@@ -184,19 +251,24 @@ def semantics_fingerprint() -> str:
     source edit and a runtime monkeypatch (an injected fault) change the
     fingerprint and turn every prior entry into a miss.
 
-    The walk over the live functions runs on every call, the hashing only
-    when an input differs from the last call's: the version string, the
-    Python version, a source digest, a name, or the identity of a code
-    object (a patched function or a reassigned ``__code__``).
+    A call first checks the snapshot of the last full walk
+    (:func:`_snapshot_holds`) and returns the memoized value when it
+    holds.  Otherwise it walks again, and hashes only when an input
+    differs from the last walk's: the version string, the Python
+    version, a source digest, a name, or the identity of a code object (a
+    patched function or a reassigned ``__code__``).
     """
     global _fingerprint_memo
-    walk = _trusted_walk()
+    memo = _fingerprint_memo
+    if memo is not None and _snapshot_holds(memo[1]):
+        return memo[2]
+    walk, snapshot = _trusted_walk()
     python = platform.python_version()
     inputs = (SEMANTICS_VERSION, python, tuple(
         part if isinstance(part, bytes) else (part[0], id(part[1]))
         for part in walk))
-    memo = _fingerprint_memo
     if memo is not None and memo[0] == inputs:
+        _fingerprint_memo = (inputs, snapshot, memo[2])
         return memo[2]
     h = hashlib.sha256()
     h.update(f"repro-semantics|{SEMANTICS_VERSION}|".encode())
@@ -207,7 +279,7 @@ def semantics_fingerprint() -> str:
         else:
             _hash_callable(h, *part)
     fingerprint = h.hexdigest()
-    _fingerprint_memo = (inputs, walk, fingerprint)
+    _fingerprint_memo = (inputs, snapshot, fingerprint)
     return fingerprint
 
 
@@ -318,27 +390,82 @@ def _decode_entry(blob: bytes, key: str, body: bool):
     return result
 
 
+class _IndexState:
+    """One store root's index as this process last folded it.
+
+    *index* is the ``index.json`` shape (``clock``, ``entries``,
+    ``telemetry``); *generation* names the journal it was folded from
+    (None: no journal of ours yet); *offset* is how many journal bytes
+    are folded; *lines* counts the folded lines; *total* is the entries'
+    byte sum."""
+
+    __slots__ = ("index", "generation", "offset", "lines", "total")
+
+    def __init__(self, index: dict, generation: str | None,
+                 offset: int) -> None:
+        self.index = index
+        self.generation = generation
+        self.offset = offset
+        self.lines = 0
+        self.total = sum(entry.get("size", 0)
+                         for entry in index["entries"].values())
+
+
+#: The folded index of every store root this process has used, shared by
+#: all :class:`LiftStore` handles on one root.
+_INDEXES: dict[str, _IndexState] = {}
+
+#: Serializes this process's threads around :data:`_INDEXES`; the file
+#: lock serializes processes.
+_INDEX_MUTEX = threading.Lock()
+
+
+def _journal_generation(header: bytes) -> str | None:
+    """The generation a journal's first line names, or None."""
+    try:
+        record = json.loads(header)
+    except ValueError:
+        return None
+    if isinstance(record, dict) and isinstance(record.get("generation"),
+                                               str):
+        return record["generation"]
+    return None
+
+
 class LiftStore:
     """A directory of pickled lift results with an LRU size cap.
 
     Layout: ``<root>/<key[:2]>/<key>.pkl`` per entry (a summary header
     pickle, then the payload pickle; see :func:`_encode_entry`) plus
     ``<root>/index.json`` holding a logical clock, per-entry access
-    stamps and lifetime telemetry.  Every mutation is tolerant of a
-    missing/corrupt index.
+    stamps and lifetime telemetry, and ``<root>/index.journal``, the
+    hits, misses and stores since ``index.json`` was last written.
+    Every mutation is tolerant of a missing/corrupt index.
 
-    Index writes: one per hit (:meth:`get` or :meth:`summary`), one per
-    miss, one per :meth:`put` — and one for a :func:`cached_lift` miss
-    and the store that follows it.
+    Index writes: each hit (:meth:`get` or :meth:`summary`), each miss
+    and each :meth:`put` appends one line to the journal; a
+    :func:`cached_lift` miss and the store that follows it share one
+    line.  Each process folds the journal into one in-memory index per
+    root (:data:`_INDEXES`), reading only the lines it has not seen.  The
+    journal is compacted into ``index.json`` when it has more lines than
+    the index has entries (and at least :attr:`COMPACT_MIN_LINES`), and
+    after every eviction.  A lock file serializes the appends and the
+    compactions of all processes, so no count is lost.
     """
 
     INDEX_NAME = "index.json"
+    JOURNAL_NAME = "index.journal"
+    LOCK_NAME = "index.lock"
+
+    #: The fewest journal lines that trigger a compaction.
+    COMPACT_MIN_LINES = 64
 
     def __init__(self, root: str | os.PathLike | None = None,
                  max_bytes: int | None = None):
         if root is None:
             root = os.environ.get(ENV_DIR) or DEFAULT_CACHE_DIR
         self.root = Path(root).expanduser()
+        self._root_key = str(self.root)
         if max_bytes is None:
             try:
                 max_bytes = int(os.environ.get(ENV_MAX_BYTES,
@@ -353,6 +480,10 @@ class LiftStore:
     def index_path(self) -> Path:
         return self.root / self.INDEX_NAME
 
+    @property
+    def journal_path(self) -> Path:
+        return self.root / self.JOURNAL_NAME
+
     def entry_path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
 
@@ -361,9 +492,34 @@ class LiftStore:
     #: Lifetime counters persisted in the index (advisory, like recency).
     TELEMETRY_FIELDS = ("hits", "misses", "stores", "evictions")
 
-    def _load_index(self) -> dict:
-        import json
+    @contextmanager
+    def _locked(self, create: bool):
+        """Hold this process's index mutex and the root's lock file.
 
+        With *create* the root is made first; without it, a root that
+        does not exist yet is read unlocked (there is nothing to race
+        on).  A lock file that cannot be opened leaves the index
+        advisory, as it always was, rather than failing the lift."""
+        with _INDEX_MUTEX:
+            fd = None
+            try:
+                if create:
+                    self.root.mkdir(parents=True, exist_ok=True)
+                fd = os.open(self.root / self.LOCK_NAME,
+                             os.O_RDWR | os.O_CREAT, 0o644)
+                fcntl.flock(fd, fcntl.LOCK_EX)
+            except OSError:
+                if fd is not None:
+                    os.close(fd)
+                    fd = None
+            try:
+                yield
+            finally:
+                if fd is not None:
+                    os.close(fd)   # releases the lock
+
+    def _read_index_file(self) -> dict:
+        """``index.json``, or an index rebuilt from a directory scan."""
         try:
             index = json.loads(self.index_path.read_text())
             if (isinstance(index, dict)
@@ -389,45 +545,145 @@ class LiftStore:
         return {"clock": 0, "entries": entries,
                 "telemetry": {name: 0 for name in self.TELEMETRY_FIELDS}}
 
-    def _save_index(self, index: dict) -> None:
-        import json
+    def _sync(self) -> _IndexState:
+        """This root's index with every journal line folded in (call it
+        under :meth:`_locked`).
 
+        The journal's first line names its generation, which
+        ``index.json`` repeats when the journal continues it.  When the
+        journal's generation is not the one this process folded, the
+        index is read afresh; a journal whose generation ``index.json``
+        does not name is stale (a compaction died between its two
+        writes, or the index was lost) and its lines are not folded."""
+        state = _INDEXES.get(self._root_key)
+        try:
+            with open(self.journal_path, "rb") as journal:
+                header = journal.readline()
+                generation = _journal_generation(header)
+                if (state is None or generation is None
+                        or generation != state.generation):
+                    index = self._read_index_file()
+                    if index.get("journal") != generation:
+                        generation = None
+                    state = _IndexState(index, generation, len(header))
+                if state.generation is not None:
+                    journal.seek(state.offset)
+                    data = journal.read()
+                    # A line still being written waits for the next sync.
+                    data = data[:data.rfind(b"\n") + 1]
+                    state.offset += len(data)
+                    for line in data.splitlines():
+                        try:
+                            record = json.loads(line)
+                        except ValueError:
+                            continue
+                        if isinstance(record, list):
+                            self._apply(state, record)
+        except OSError:
+            if state is None or state.generation is not None:
+                state = _IndexState(self._read_index_file(), None, 0)
+        _INDEXES[self._root_key] = state
+        return state
+
+    def _apply(self, state: _IndexState, record: list) -> None:
+        """Fold one journal line: ``["hit", key, size, time]``,
+        ``["miss"]`` or ``["store", key, size, time]`` (a store also
+        counts the miss that led to it)."""
+        state.lines += 1
+        kind = record[0] if record else None
+        index = state.index
+        if kind == "miss":
+            self._count(index, "misses")
+        elif kind in ("hit", "store") and len(record) == 4:
+            _, key, size, stamp = record
+            if kind == "store":
+                self._count(index, "misses")
+            index["clock"] += 1
+            prior = index["entries"].get(key, {})
+            state.total += size - prior.get("size", 0)
+            index["entries"][key] = {
+                "size": size, "at": index["clock"],
+                # Wall-clock birth time, preserved across touches — the
+                # oldest/newest-entry-age telemetry in ``stats()``.
+                "created": prior.get("created", stamp),
+            }
+            self._count(index, "hits" if kind == "hit" else "stores")
+
+    def _record(self, record: list) -> None:
+        """Append *record* to the journal and fold it; evict and compact
+        when due."""
+        line = (json.dumps(record) + "\n").encode()
+        with self._locked(create=True):
+            state = self._sync()
+            if state.generation is None:
+                self._compact(state)
+            if state.generation is not None:
+                try:
+                    fd = os.open(self.journal_path,
+                                 os.O_WRONLY | os.O_APPEND)
+                    try:
+                        os.write(fd, line)
+                    finally:
+                        os.close(fd)
+                    state.offset += len(line)
+                except OSError:
+                    # Held in memory only: the next record compacts it.
+                    state.generation = None
+            self._apply(state, record)
+            evicted = record[0] == "store" and self._evict(state)
+            if evicted or state.lines > max(len(state.index["entries"]),
+                                            self.COMPACT_MIN_LINES):
+                self._compact(state)
+
+    def _compact(self, state: _IndexState) -> None:
+        """Write the folded index to ``index.json`` and start an empty
+        journal of a new generation (call it under :meth:`_locked`).
+        ``index.json`` goes first: a crash between the two writes leaves
+        a journal that ``index.json`` does not name, whose lines it
+        already holds."""
+        generation = os.urandom(8).hex()
+        state.index["journal"] = generation
+        header = (json.dumps({"generation": generation}) + "\n").encode()
+        state.generation = None
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            tmp = self.index_path.with_suffix(
-                f".tmp.{os.getpid()}")
-            tmp.write_text(json.dumps(index, sort_keys=True))
+            tmp = self.index_path.with_suffix(f".tmp.{os.getpid()}")
+            tmp.write_text(json.dumps(state.index, sort_keys=True))
             os.replace(tmp, self.index_path)
+            tmp = self.journal_path.with_suffix(f".tmp.{os.getpid()}")
+            tmp.write_bytes(header)
+            os.replace(tmp, self.journal_path)
         except OSError:
-            pass  # advisory only
+            return  # advisory only
+        state.generation = generation
+        state.offset = len(header)
+        state.lines = 0
 
-    def _touch(self, index: dict, key: str, size: int) -> None:
-        index["clock"] += 1
-        prior = index["entries"].get(key, {})
-        index["entries"][key] = {
-            "size": size, "at": index["clock"],
-            # Wall-clock birth time, preserved across touches — the
-            # oldest/newest-entry-age telemetry in ``stats()``.
-            "created": prior.get("created", time.time()),
-        }
+    def _load_index(self) -> dict:
+        """The index as of now: ``index.json`` plus the journal."""
+        with self._locked(create=False):
+            return self._sync().index
 
     def _count(self, index: dict, name: str, n: int = 1) -> None:
         telemetry = index.setdefault(
             "telemetry", {field: 0 for field in self.TELEMETRY_FIELDS})
         telemetry[name] = telemetry.get(name, 0) + n
 
-    def _evict(self, index: dict) -> None:
+    def _evict(self, state: _IndexState) -> bool:
+        """Drop least recently used entries until the total fits; True
+        when any was dropped."""
+        if state.total <= self.max_bytes:
+            return False
+        index = state.index
         entries = index["entries"]
-        total = sum(entry.get("size", 0) for entry in entries.values())
-        if total <= self.max_bytes:
-            return
         for key in sorted(entries, key=lambda k: (entries[k].get("at", 0), k)):
-            if total <= self.max_bytes:
+            if state.total <= self.max_bytes:
                 break
-            total -= entries[key].get("size", 0)
+            state.total -= entries[key].get("size", 0)
             del entries[key]
             self._drop_file(key)
             self._count(index, "evictions")
+        return True
 
     def _drop_file(self, key: str) -> None:
         try:
@@ -480,10 +736,10 @@ class LiftStore:
 
     def _load(self, key: str, *, body: bool):
         """Read and check the entry for *key*; the result (*body*) or its
-        summary on a hit, None on a miss.  A hit persists its recency and
+        summary on a hit, None on a miss.  A hit journals its recency and
         hit count; a miss is counted in-process and traced but left for
-        the caller to persist, so a miss that ends in :meth:`put` costs
-        one index write, not two."""
+        the caller to journal, so a miss that ends in :meth:`put` costs
+        one journal line, not two."""
         value = None
         try:
             blob = self.entry_path(key).read_bytes()
@@ -501,25 +757,20 @@ class LiftStore:
             if _T.enabled:
                 _T.emit("cache.lift.miss", None, key=key[:16])
             return None
-        index = self._load_index()
-        self._touch(index, key, len(blob))
-        self._count(index, "hits")
-        self._save_index(index)
+        self._record(["hit", key, len(blob), time.time()])
         _gated("cache_lift_hits")
         if _T.enabled:
             _T.emit("cache.lift.hit", None, key=key[:16], bytes=len(blob))
         return value
 
     def _save_miss(self) -> None:
-        index = self._load_index()
-        self._count(index, "misses")
-        self._save_index(index)
+        self._record(["miss"])
 
     def put(self, key: str, result) -> None:
         """Store *result* under *key* (atomic write, then LRU eviction).
 
         A store follows a lookup miss (see :func:`cached_lift`), so it
-        also counts that miss, in the same index write.
+        also counts that miss, in the same journal line.
         """
         blob = _encode_entry(key, result)
         path = self.entry_path(key)
@@ -532,12 +783,7 @@ class LiftStore:
             # A full/read-only disk disables the cache, not the lift.
             self._save_miss()
             return
-        index = self._load_index()
-        self._count(index, "misses")
-        self._touch(index, key, len(blob))
-        self._count(index, "stores")
-        self._evict(index)
-        self._save_index(index)
+        self._record(["store", key, len(blob), time.time()])
         _gated("cache_lift_stores")
         if _T.enabled:
             _T.emit("cache.lift.store", None, key=key[:16], bytes=len(blob))
@@ -578,16 +824,19 @@ class LiftStore:
     def clear(self) -> int:
         """Remove every entry (and the index); returns entries removed."""
         removed = 0
-        for path in list(self.root.glob("??/*.pkl")):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                continue
-        try:
-            self.index_path.unlink(missing_ok=True)
-        except OSError:
-            pass
+        with self._locked(create=False):
+            for path in list(self.root.glob("??/*.pkl")):
+                try:
+                    path.unlink()
+                    removed += 1
+                except OSError:
+                    continue
+            for path in (self.index_path, self.journal_path):
+                try:
+                    path.unlink(missing_ok=True)
+                except OSError:
+                    pass
+            _INDEXES.pop(self._root_key, None)
         return removed
 
 

@@ -127,8 +127,12 @@ class ServeClient:
     def submit_corpus(self, scale: int = 1, **spec: Any) -> dict:
         return self.submit({"kind": "corpus", "scale": scale, **spec})
 
-    def status(self, job_id: str) -> dict:
-        return self.request("status", job_id=job_id)["job"]
+    def status(self, job_id: str, wait: float | None = None) -> dict:
+        """The job's status; with *wait*, the daemon first blocks until
+        the job finishes or *wait* seconds pass (see the protocol)."""
+        if wait is None:
+            return self.request("status", job_id=job_id)["job"]
+        return self.request("status", job_id=job_id, wait=wait)["job"]
 
     def result(self, job_id: str) -> dict:
         """The finished job's result payload (raises ``not-done`` before)."""
@@ -170,18 +174,33 @@ class ServeClient:
 
     def wait(self, job_id: str, timeout: float = 300.0,
              poll: float = 0.05) -> dict:
-        """Poll until *job_id* reaches a terminal state; returns its
-        status dict.  Raises :class:`TimeoutError` on expiry."""
+        """Block until *job_id* reaches a terminal state; returns its
+        status dict.  Raises :class:`TimeoutError` on expiry.
+
+        Each request is a waiting ``status``, which the daemon answers
+        as soon as the job finishes.  A waiting status that comes back
+        early with the job unfinished (the daemon is draining) is
+        followed by a *poll* second sleep, so a draining daemon is not
+        asked in a busy loop."""
         deadline = time.monotonic() + timeout
+        # The socket timeout must outlast the longest wait asked for.
+        sock_timeout = self._sock.gettimeout()
+        cap = protocol.MAX_STATUS_WAIT
+        if sock_timeout is not None:
+            cap = min(cap, sock_timeout / 2)
         while True:
-            status = self.status(job_id)
+            asked = max(0.0, min(cap, deadline - time.monotonic()))
+            started = time.monotonic()
+            status = self.status(job_id, wait=asked)
             if status["state"] in ("done", "failed", "cancelled"):
                 return status
-            if time.monotonic() > deadline:
+            now = time.monotonic()
+            if now > deadline:
                 raise TimeoutError(
                     f"job {job_id} still {status['state']!r} after "
                     f"{timeout}s")
-            time.sleep(poll)
+            if now - started < asked:
+                time.sleep(poll)
 
 
 def iter_watch_events(socket_path: str, job_id: str,

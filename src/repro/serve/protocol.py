@@ -24,12 +24,17 @@ Requests::
 
     {"op": "ping"}
     {"op": "submit", "job": {...}, "tenant": "acme"}
-    {"op": "status", "job_id": "j-3", "tenant": "acme"}
+    {"op": "status", "job_id": "j-3", "tenant": "acme", "wait": 5.0}
     {"op": "result", "job_id": "j-3", "tenant": "acme"}
     {"op": "cancel", "job_id": "j-3", "tenant": "acme"}
     {"op": "watch",  "job_id": "j-3", "tenant": "acme"}
     {"op": "stats"}
     {"op": "drain"}
+
+``status`` answers at once without ``wait``.  With ``wait`` (seconds, at
+most :data:`MAX_STATUS_WAIT`) it answers when the job finishes, when the
+wait runs out, or when the server drains or stops, whichever comes first,
+always with the job's status at that moment.
 
 Job specs (the ``job`` field of ``submit``)::
 
@@ -63,6 +68,9 @@ MIN_PRIORITY, MAX_PRIORITY = -100, 100
 
 PROTOCOL_VERSION = 1
 
+#: The longest a ``status`` request may ask to wait, in seconds.
+MAX_STATUS_WAIT = 30.0
+
 OPS = ("ping", "submit", "status", "result", "cancel", "watch", "stats",
        "drain")
 
@@ -82,6 +90,7 @@ _OP_FIELDS: dict[str, dict[str, tuple]] = {
 _OP_OPTIONAL: dict[str, dict[str, tuple]] = {
     op: {"tenant": (str,)} for op in OPS
 }
+_OP_OPTIONAL["status"]["wait"] = (int, float)
 
 JOB_KINDS = ("lift", "corpus", "chaos")
 
@@ -199,6 +208,11 @@ def validate_request(obj: Any) -> None:
                   f"request[{op}]", "bad-request")
     if op == "submit":
         validate_job_spec(obj["job"])
+    wait = obj.get("wait")
+    if wait is not None and not 0 <= wait <= MAX_STATUS_WAIT:
+        raise ProtocolError(
+            "bad-request",
+            f"request[{op}]: wait {wait!r} outside [0, {MAX_STATUS_WAIT}]")
 
 
 def validate_response(obj: Any) -> None:

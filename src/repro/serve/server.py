@@ -672,12 +672,23 @@ class Server:
             return None
         return job
 
-    def status(self, job_id: str, tenant: str) -> dict:
-        with self._lock:
+    def status(self, job_id: str, tenant: str,
+               wait: float | None = None) -> dict:
+        """The job's status; with *wait*, first block until the job
+        finishes, *wait* seconds pass, or the server drains or stops."""
+        with self._cond:
             job = self._job_for(job_id, tenant)
             if job is None:
                 return protocol.error_response(
                     "unknown-job", f"no job {job_id!r} for this tenant")
+            if wait:
+                deadline = time.monotonic() + wait
+                while not (job.finished or self._draining
+                           or self._stopped.is_set()):
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    self._cond.wait(remaining)
             return {"ok": True, "job": job.status_dict()}
 
     def result(self, job_id: str, tenant: str) -> dict:
@@ -877,7 +888,8 @@ class Server:
             self._send(sock, self.submit(request["job"], tenant))
             return False
         if op == "status":
-            self._send(sock, self.status(request["job_id"], tenant))
+            self._send(sock, self.status(request["job_id"], tenant,
+                                         request.get("wait")))
             return False
         if op == "result":
             self._send(sock, self.result(request["job_id"], tenant))

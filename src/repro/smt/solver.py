@@ -335,7 +335,10 @@ def _fingerprint_terms(a0: Expr, a1: Expr) -> tuple[Expr, ...]:
 register_lru("smt.fingerprint_terms", _fingerprint_terms)
 
 #: Relation queries asked in this process, from the verdict caches or not.
-_queries = 0
+#: A one-slot list, not a rebound global: the semantics fingerprint
+#: (:mod:`repro.perf.store`) compares this module's namespace between
+#: calls, and a counter rebound on every query would defeat that check.
+_queries = [0]
 
 
 def query_count() -> int:
@@ -343,7 +346,7 @@ def query_count() -> int:
     :func:`possible_relations` calls) this process has asked.  The memory
     model's insertion memo records how many one insertion asked, so that a
     memo hit can count them again."""
-    return _queries
+    return _queries[0]
 
 
 def _decision_verdict(decision: Decision) -> str:
@@ -381,8 +384,7 @@ def decide_relation(
     Decisions actually computed are always recorded (provenance chains
     cite them) and contribute to the SMT wall-time accumulator.
     """
-    global _queries
-    _queries += 1
+    _queries[0] += 1
     key = (r0.addr, r0.size, r1.addr, r1.size,
            _bounds_fingerprint(r0, r1, bounds))
     cached = _DECIDE_CACHE.get(key)
@@ -515,8 +517,7 @@ def possible_relations(
     r0: Region, r1: Region, bounds: BoundsProvider = NO_BOUNDS
 ) -> Fork:
     """Enumerate the relations an undecided pair may stand in (cached)."""
-    global _queries
-    _queries += 1
+    _queries[0] += 1
     key = (r0.addr, r0.size, r1.addr, r1.size,
            _bounds_fingerprint(r0, r1, bounds))
     cached = _FORK_CACHE.get(key)

@@ -375,6 +375,160 @@ def test_rebuilt_index_keeps_telemetry_shape(store):
     assert stats["oldest_entry_age"] is not None
 
 
+# -- the journaled index ----------------------------------------------------
+
+class _RewrittenIndex:
+    """The index as it was kept when every hit, miss and store rewrote
+    ``index.json`` whole: the reference the journal must reproduce."""
+
+    def __init__(self, max_bytes: int) -> None:
+        self.max_bytes = max_bytes
+        self.clock = 0
+        self.entries: dict[str, dict] = {}
+        self.telemetry = {"hits": 0, "misses": 0, "stores": 0,
+                          "evictions": 0}
+        self.evicted: list[str] = []
+
+    def _touch(self, key: str, size: int) -> None:
+        self.clock += 1
+        self.entries[key] = {"size": size, "at": self.clock}
+
+    def hit(self, key: str, size: int) -> None:
+        self._touch(key, size)
+        self.telemetry["hits"] += 1
+
+    def miss(self) -> None:
+        self.telemetry["misses"] += 1
+
+    def store(self, key: str, size: int) -> None:
+        self.telemetry["misses"] += 1
+        self._touch(key, size)
+        self.telemetry["stores"] += 1
+        total = sum(entry["size"] for entry in self.entries.values())
+        if total <= self.max_bytes:
+            return
+        for victim in sorted(self.entries,
+                             key=lambda k: (self.entries[k]["at"], k)):
+            if total <= self.max_bytes:
+                break
+            total -= self.entries.pop(victim)["size"]
+            self.evicted.append(victim)
+            self.telemetry["evictions"] += 1
+
+
+def _index_view(index: dict) -> dict:
+    return {key: {"size": entry["size"], "at": entry["at"]}
+            for key, entry in index["entries"].items()}
+
+
+@pytest.mark.parametrize("compact_min_lines", [64, 1],
+                         ids=["journal", "compact-every-line"])
+def test_scripted_sequence_matches_the_rewritten_index(
+        tmp_path, monkeypatch, compact_min_lines):
+    from repro.hoare.lifter import lift_uncached
+
+    monkeypatch.setattr(LiftStore, "COMPACT_MIN_LINES", compact_min_lines)
+    names = ("arith", "branch", "loop", "guard", "stack")
+    binaries = {name: build_target(name) for name in names}
+    results = {name: lift_uncached(binary)
+               for name, binary in binaries.items()}
+    keys = {name: lift_key(binary) for name, binary in binaries.items()}
+    sizes = {name: len(store_mod._encode_entry(keys[name], results[name]))
+             for name in names}
+    # Room for any three entries, never four.
+    max_bytes = sum(sorted(sizes.values())[-3:])
+    store = LiftStore(root=tmp_path / "scripted", max_bytes=max_bytes)
+    model = _RewrittenIndex(max_bytes)
+    absent = "0" * 64
+
+    script = [("put", "arith"), ("put", "branch"), ("get", "arith"),
+              ("put", "loop"), ("summary", "branch"), ("miss", None),
+              ("put", "guard"), ("summary", "arith"), ("get", "guard"),
+              ("put", "stack"), ("get", "stack"), ("miss", None),
+              ("put", "arith")]
+    for step, (op, name) in enumerate(script):
+        if op == "put":
+            store.put(keys[name], results[name])
+            model.store(keys[name], sizes[name])
+        elif op == "miss":
+            assert store.get(absent) is None
+            model.miss()
+        else:
+            assert getattr(store, op)(keys[name]) is not None, step
+            model.hit(keys[name], sizes[name])
+        on_disk = {path.stem for path in store.root.glob("??/*.pkl")}
+        assert on_disk == set(model.entries), step
+        assert _index_view(store._load_index()) == model.entries, step
+        assert store._load_index()["clock"] == model.clock, step
+    assert model.evicted, "the script must evict"
+    stats = store.stats()
+    assert stats["telemetry"] == model.telemetry
+    assert stats["entries"] == len(model.entries)
+    # A process that has not seen the store folds the same index.
+    store_mod._INDEXES.clear()
+    fresh = LiftStore(root=tmp_path / "scripted", max_bytes=max_bytes)
+    assert _index_view(fresh._load_index()) == model.entries
+    assert fresh.stats()["telemetry"] == model.telemetry
+
+
+def test_a_store_with_only_index_json_loads(store):
+    import json
+
+    binary = build_target("arith")
+    key = lift_key(binary)
+    lift(binary, cache=store)
+    # What a store written before the journal holds: index.json alone.
+    store.journal_path.unlink()
+    legacy = {"clock": 2, "telemetry": {"hits": 1, "misses": 1,
+                                        "stores": 1, "evictions": 0},
+              "entries": {key: {"size": 1, "at": 2, "created": 1.0}}}
+    store.index_path.write_text(json.dumps(legacy))
+    store_mod._INDEXES.clear()           # as a new process would
+    assert store.stats()["telemetry"] == legacy["telemetry"]
+    lift(binary, cache=store)            # a hit
+    index = store._load_index()
+    assert index["telemetry"]["hits"] == 2
+    assert index["entries"][key]["at"] == 3
+    assert index["entries"][key]["created"] == 1.0
+
+
+def _hammer(root: str, worker: int, rounds: int, result) -> None:
+    """One process's share of the concurrent-writers test."""
+    store = LiftStore(root=root)
+    for i in range(rounds):
+        key = f"{worker:02x}{i:062x}"
+        store.put(key, result)
+        assert store.summary(key) is not None
+        assert store.get(f"ff{worker:02x}{i:060x}") is None
+
+
+def test_concurrent_processes_lose_no_count(tmp_path):
+    """More writers than a 2-core runner has cores, each journaling
+    stores, hits and misses through several compactions."""
+    import multiprocessing
+
+    from repro.hoare.lifter import lift_uncached
+
+    result = lift_uncached(build_target("arith"))
+    root = str(tmp_path / "shared")
+    writers, rounds = 3, 40
+    context = multiprocessing.get_context("spawn")
+    workers = [context.Process(target=_hammer,
+                               args=(root, worker, rounds, result))
+               for worker in range(writers)]
+    for process in workers:
+        process.start()
+    for process in workers:
+        process.join(timeout=120)
+        assert process.exitcode == 0
+    stats = LiftStore(root=root).stats()
+    total = writers * rounds
+    assert stats["telemetry"] == {"hits": total, "misses": 2 * total,
+                                  "stores": total, "evictions": 0}
+    assert stats["entries"] == total
+    assert len(LiftStore(root=root)._load_index()["entries"]) == total
+
+
 # -- the semantics-fingerprint memo -----------------------------------------
 
 def _uncached_fingerprint() -> str:
@@ -457,6 +611,87 @@ def test_reassigned_code_changes_the_memoized_fingerprint():
     assert semantics_fingerprint() == clean
 
 
+def _rebind_function(monkeypatch):
+    from repro.expr import subst
+
+    original = subst.subst_vars
+    monkeypatch.setattr(subst, "subst_vars",
+                        lambda *args, **kwargs: original(*args, **kwargs))
+
+
+def _rebind_method(monkeypatch):
+    from repro.memmodel.model import MemModel
+
+    original = MemModel.__eq__
+    monkeypatch.setattr(MemModel, "__eq__",
+                        lambda self, other: original(self, other))
+
+
+def _rebind_staticmethod(monkeypatch):
+    from repro.memmodel.model import MemTree
+
+    original = MemTree.leaf
+    monkeypatch.setattr(MemTree, "leaf",
+                        staticmethod(lambda region: original(region)))
+
+
+def _reassign_code(monkeypatch):
+    from repro.expr import subst
+
+    monkeypatch.setattr(subst.subst_vars, "__code__", _impostor.__code__)
+
+
+def _add_method(monkeypatch):
+    from repro.pred.predicate import Predicate
+
+    monkeypatch.setattr(Predicate, "extra_method", lambda self: None,
+                        raising=False)
+
+
+def _swap_module(monkeypatch):
+    import sys
+    import types
+
+    # A module object like a reload would make, with one function changed;
+    # the original module's namespace is untouched.
+    original = sys.modules["repro.expr.subst"]
+    swapped = types.ModuleType(original.__name__)
+    swapped.__dict__.update(vars(original))
+    swapped.subst_vars = _impostor
+    monkeypatch.setitem(sys.modules, "repro.expr.subst", swapped)
+
+
+def _bump_version(monkeypatch):
+    monkeypatch.setattr(store_mod, "SEMANTICS_VERSION",
+                        store_mod.SEMANTICS_VERSION + "-bumped")
+
+
+@pytest.mark.parametrize("patch", [
+    _rebind_function, _rebind_method, _rebind_staticmethod, _reassign_code,
+    _add_method, _swap_module, _bump_version,
+], ids=lambda patch: patch.__name__.lstrip("_"))
+def test_every_patch_changes_the_fingerprint_and_undoing_restores_it(
+        monkeypatch, patch):
+    clean = semantics_fingerprint()
+    assert clean == _uncached_fingerprint()
+    patch(monkeypatch)
+    faulted = semantics_fingerprint()
+    assert faulted != clean
+    assert faulted == _uncached_fingerprint()
+    assert semantics_fingerprint() == faulted
+    monkeypatch.undo()
+    assert semantics_fingerprint() == clean
+
+
+def test_a_steady_state_fingerprint_runs_no_walk():
+    semantics_fingerprint()
+    walks = store_mod.walk_count
+    lift(build_target("loop"), cache=False)
+    for _ in range(3):
+        semantics_fingerprint()
+    assert store_mod.walk_count == walks
+
+
 # -- the summary header -----------------------------------------------------
 
 @pytest.mark.parametrize("outcome, build, options", [
@@ -532,10 +767,11 @@ def test_previous_schema_entry_misses(store, read):
 
 
 def test_index_writes_per_miss_hit_and_summary(store, monkeypatch):
+    # An index write is one journal line.
     writes = []
-    save = store._save_index
-    monkeypatch.setattr(store, "_save_index",
-                        lambda index: (writes.append(1), save(index)))
+    record = store._record
+    monkeypatch.setattr(store, "_record",
+                        lambda line: (writes.append(line[0]), record(line)))
     binary = build_target("arith")
     lift(binary, cache=store)                    # miss + store
     assert len(writes) == 1
@@ -545,5 +781,6 @@ def test_index_writes_per_miss_hit_and_summary(store, monkeypatch):
     assert len(writes) == 3
     lift(build_target("loop"), cache=store, timeout_seconds=1e-9)
     assert len(writes) == 4                      # an unstored miss
+    assert writes == ["store", "hit", "hit", "miss"]
     assert store.stats()["telemetry"] == {"hits": 2, "misses": 2,
                                           "stores": 1, "evictions": 0}

@@ -286,3 +286,65 @@ def test_undecodable_addresses_annotate_with_the_fetch_error(mode):
                                    str(error.value)))
     assert kinds == {FetchError, DecodeError}
     assert result.annotations == expected
+
+
+# -- loop heads from one predecessor map -------------------------------------
+
+def _schedule_by_rescan(binary, entry: int) -> tuple:
+    """Ranks, loop heads and loop count by the rule the predecessor map
+    replaced: condense the flow, and find each loop member's
+    predecessors by scanning every edge of the flow."""
+    from repro.hoare.schedule import DecodeMemo, _scan_flow, condense
+
+    flow = _scan_flow(DecodeMemo(binary), entry)
+    sccs = condense(sorted(flow), flow)
+    ranks = {member: len(sccs) - 1 - index
+             for index, members in enumerate(sccs) for member in members}
+    heads: set[int] = set()
+    loops = 0
+    for members in sccs:
+        if len(members) == 1 and members[0] not in flow.get(members[0], ()):
+            continue
+        loops += 1
+        scc = set(members)
+        found = [member for member in members
+                 if member == entry or any(
+                     member in dsts and src not in scc
+                     for src, dsts in flow.items())]
+        heads.update(found or members[:1])
+    return ranks, frozenset(heads), loops
+
+
+def _schedule_entries():
+    """(name, binary, entry) for every binary and library function of
+    ``build_corpus(2)``, the coreutils analogues and the QA targets."""
+    from repro.corpus import build_corpus, build_coreutils
+    from repro.corpus.xenlike import function_binary
+
+    corpus = build_corpus(2)
+    for corpus_binary in corpus.binaries:
+        yield corpus_binary.name, corpus_binary.binary, \
+            corpus_binary.binary.entry
+    for library in corpus.libraries:
+        for function in library.functions:
+            binary = function_binary(library, function)
+            yield f"{library.name}:{function}", binary, \
+                binary.symbols[function]
+    for name, binary in build_coreutils().items():
+        yield name, binary, binary.entry
+    for name in target_names():
+        binary = build_target(name)
+        yield name, binary, binary.entry
+
+
+def test_loop_heads_match_the_edge_rescan_rule():
+    checked = loops = 0
+    for name, binary, entry in _schedule_entries():
+        schedule = build_schedule(binary, entry)
+        ranks, heads, loop_count = _schedule_by_rescan(binary, entry)
+        assert schedule.ranks == ranks, name
+        assert schedule.loop_heads == heads, name
+        assert schedule.loops == loop_count, name
+        checked += 1
+        loops += loop_count
+    assert checked > 300 and loops > 0

@@ -238,3 +238,64 @@ def test_drain_grace_forces_a_stuck_drain(tmp_path):
         assert job.diagnostics[0]["code"] == "drain-timeout"
     finally:
         server.close()
+
+
+# -- waiting status ---------------------------------------------------------
+
+def test_waiting_status_returns_when_the_job_finishes(client):
+    submitted = _submit_chaos(client, "sleep", seconds=0.4)
+    status = client.status(submitted["job_id"], wait=20)
+    answered = time.time()
+    assert status["state"] == "done"
+    assert answered - status["finished_ts"] < 0.05
+
+
+def test_waiting_status_answers_the_live_state_at_its_deadline(client):
+    submitted = _submit_chaos(client, "sleep", seconds=30)
+    started = time.monotonic()
+    status = client.status(submitted["job_id"], wait=0.3)
+    elapsed = time.monotonic() - started
+    assert 0.3 <= elapsed < 2.0
+    assert status["id"] == submitted["job_id"]
+    assert status["state"] in ("queued", "running")
+    assert "finished_ts" not in status
+    client.cancel(submitted["job_id"])
+
+
+def test_drain_wakes_a_waiting_status(server, client):
+    import threading
+
+    submitted = _submit_chaos(client, "sleep", seconds=3)
+    answers = []
+
+    def wait_for_it():
+        with ServeClient(server.config.socket_path, timeout=60.0) as other:
+            started = time.monotonic()
+            status = other.status(submitted["job_id"], wait=25)
+            answers.append((time.monotonic() - started, status))
+
+    waiter = threading.Thread(target=wait_for_it)
+    waiter.start()
+    time.sleep(0.3)
+    assert client.drain()["state"] == "draining"
+    waiter.join(timeout=10)
+    assert answers, "the waiting status was not answered"
+    elapsed, status = answers[0]
+    assert elapsed < 2.0
+    assert status["state"] in ("queued", "running")
+
+
+def test_client_wait_asks_one_waiting_status(client, monkeypatch):
+    submitted = _submit_chaos(client, "sleep", seconds=0.5)
+    requests = []
+    request = client.request
+
+    def counted(op, **fields):
+        requests.append((op, fields.get("wait")))
+        return request(op, **fields)
+
+    monkeypatch.setattr(client, "request", counted)
+    status = client.wait(submitted["job_id"], timeout=60, poll=0.001)
+    assert status["state"] == "done"
+    assert len(requests) == 1
+    assert requests[0][0] == "status" and requests[0][1] > 0.5

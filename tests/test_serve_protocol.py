@@ -48,6 +48,20 @@ def test_every_op_validates_minimal_form():
         validate_request({"op": op, "tenant": "acme", **fields})
 
 
+def test_status_wait_is_bounded_and_only_on_status():
+    validate_request({"op": "status", "job_id": "j-1", "wait": 0})
+    validate_request({"op": "status", "job_id": "j-1",
+                      "wait": protocol.MAX_STATUS_WAIT})
+    for wait in (-0.001, protocol.MAX_STATUS_WAIT + 0.001, float("nan"),
+                 float("inf"), True, "1"):
+        with pytest.raises(ProtocolError) as excinfo:
+            validate_request({"op": "status", "job_id": "j-1", "wait": wait})
+        assert excinfo.value.code == "bad-request"
+    for op in ("result", "cancel", "watch"):
+        with pytest.raises(ProtocolError, match="unexpected field 'wait'"):
+            validate_request({"op": op, "job_id": "j-1", "wait": 1.0})
+
+
 def test_unknown_op_is_bad_request():
     with pytest.raises(ProtocolError) as excinfo:
         validate_request({"op": "launch-missiles"})
@@ -323,3 +337,19 @@ def test_unknown_job_errors_do_not_leak_existence(daemon):
             sock.sendall(encode({"op": op, "job_id": "j-999999"}))
             response = json.loads(reader.readline())
             assert response["error"]["code"] == "unknown-job"
+
+
+def test_out_of_range_wait_is_answered_as_a_schema_error(daemon):
+    with _raw(daemon) as sock:
+        reader = LineReader(sock)
+        for wait in (-1, protocol.MAX_STATUS_WAIT * 2):
+            sock.sendall(encode({"op": "status", "job_id": "j-1",
+                                 "wait": wait}))
+            response = json.loads(reader.readline())
+            assert response["error"]["code"] == "bad-request"
+        # The connection stays usable, and an unknown job is still
+        # answered at once by a waiting status.
+        sock.sendall(encode({"op": "status", "job_id": "j-999999",
+                             "wait": 5}))
+        response = json.loads(reader.readline())
+        assert response["error"]["code"] == "unknown-job"
