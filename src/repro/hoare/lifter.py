@@ -51,6 +51,7 @@ from repro.semantics import (
     step,
 )
 from repro.semantics.state import changed_parts, states_equal
+from repro.semantics.tau import rip_const
 from repro.smt.solver import Assumption, Region
 from repro.hoare.annotations import Annotation, Obligation, VerificationError
 from repro.hoare.ascent import extrapolate, grown_hulls, steps_on
@@ -242,7 +243,10 @@ class _Lifter:
         # survives layouts where the loop body sits *after* its exit in
         # the address space (see repro.hoare.schedule).
         self.schedule = schedule
-        self.bag: list[tuple[int, int, int, int, SymState]] = []
+        #: (rank, head?, rip, tie-break, vertex key, state): the key is
+        #: the one the edge into the state was drawn with, so popping the
+        #: state does not compute it again.
+        self.bag: list[tuple[int, int, int, int, VertexKey, SymState]] = []
         self._tiebreak = itertools.count()
         self.join_counts: dict[VertexKey, int] = {}
         self.widen_after = 64
@@ -252,7 +256,9 @@ class _Lifter:
         #: Loop-head vertices already probed (each is probed once).
         self.probed: set[VertexKey] = set()
         self.probe: _Probe | None = None
-        self.pending_returns: dict[int, list[SymState]] = {}
+        #: Callee entry -> the (vertex key, continuation) pairs parked
+        #: until it returns.
+        self.pending_returns: dict[int, list[tuple[VertexKey, SymState]]] = {}
         self.returned: set[int] = set()
         self.queued_functions: set[int] = set()
         self.annotated: set[VertexKey] = set()
@@ -280,8 +286,12 @@ class _Lifter:
         if _T.enabled:
             _T.emit("annotation", addr, kind=kind, detail=detail)
 
-    def enqueue(self, state: SymState) -> None:
+    def enqueue(self, state: SymState, key: VertexKey | None = None) -> None:
+        """Put *state* in the bag with its vertex *key* (computed here when
+        the caller has not)."""
         if state.rip is not None:
+            if key is None:
+                key = code_key(state, self.text_range)
             if self.schedule is not None:
                 rank, head = self.schedule.priority(state.rip)[:2]
                 # Newest-first within one (rank, head?, addr) key: after a
@@ -296,7 +306,7 @@ class _Lifter:
                 tiebreak = next(self._tiebreak)
             heapq.heappush(
                 self.bag,
-                (rank, head, state.rip, tiebreak, state),
+                (rank, head, state.rip, tiebreak, key, state),
             )
             if _T.enabled:
                 _T.emit_sampled("state.enqueue", state.rip,
@@ -308,18 +318,20 @@ class _Lifter:
             self.queued_functions.add(entry)
             self.enqueue(callee_initial_state(entry))
 
-    def park_continuation(self, callee: int, continuation: SymState) -> None:
+    def park_continuation(self, callee: int, continuation: SymState,
+                          key: VertexKey) -> None:
         if callee in self.returned:
-            self.enqueue(continuation.mark_reachable(True))
+            self.enqueue(continuation.mark_reachable(True), key)
         else:
-            self.pending_returns.setdefault(callee, []).append(continuation)
+            self.pending_returns.setdefault(callee, []).append(
+                (key, continuation))
 
     def release_returns(self, callee: int) -> None:
         if callee in self.returned:
             return
         self.returned.add(callee)
-        for continuation in self.pending_returns.pop(callee, []):
-            self.enqueue(continuation.mark_reachable(True))
+        for key, continuation in self.pending_returns.pop(callee, []):
+            self.enqueue(continuation.mark_reachable(True), key)
 
     def add_edge(self, src: VertexKey, instr_addr: int, dst: VertexKey) -> None:
         self.graph.edges.add(Edge(src, instr_addr, dst))
@@ -335,14 +347,14 @@ class _Lifter:
                 continue
             if not self.bag or self.errors:
                 break
-            state = heapq.heappop(self.bag)[-1]
+            *_, key, state = heapq.heappop(self.bag)
             if self.probe is not None:
-                verdict = self.probe_verdict(state)
+                verdict = self.probe_verdict(state, key)
                 if verdict is not None:
                     self.end_probe(verdict)
                     if verdict != UNCAPPED:
                         continue  # the popped state was speculative
-            self.explore(state)
+            self.explore(state, key)
         if self.bag and self.errors:
             self.bag.clear()
 
@@ -375,7 +387,7 @@ class _Lifter:
             held=_obs.hold())
         return probe_state
 
-    def probe_verdict(self, state: SymState) -> str | None:
+    def probe_verdict(self, state: SymState, key: VertexKey) -> str | None:
         """Decide the probe on a popped state: :data:`UNCAPPED` when the
         head receives a state that still grows a hull past the
         extrapolation by at most its stride (no guard caps a linear
@@ -388,7 +400,6 @@ class _Lifter:
             return "left-scc"
         if rip != probe.rip:
             return None
-        key = code_key(state, self.text_range)
         if key != probe.key:
             return "other-vertex"
         current = self.graph.vertices[key]
@@ -456,7 +467,7 @@ class _Lifter:
             if name not in ("graph", "ctx"):
                 setattr(self, name, saved[name])
 
-    def explore(self, state: SymState) -> None:
+    def explore(self, state: SymState, key: VertexKey) -> None:
         rip = state.rip
         if rip is None:
             return
@@ -465,7 +476,6 @@ class _Lifter:
             # queries, joins, annotations) inherit this address.
             _T.addr = rip
             _T.emit_sampled("state.explore", rip, explored=self.explored)
-        key = code_key(state, self.text_range)
         current = self.graph.vertices.get(key)
         if current is not None:
             with _phase("join"):
@@ -574,10 +584,7 @@ class _Lifter:
             self.resolved.add(rip)
             for target in resolution.targets:
                 specialized = succ_state.with_pred(
-                    succ_state.pred.with_regs(
-                        {**succ_state.pred.reg_dict(), "rip": Const(target)}
-                    )
-                )
+                    succ_state.pred.with_reg("rip", rip_const(target)))
                 self.edge_to_target(specialized, src_key, rip, target)
         elif resolution.kind == "return":
             self.handle_return_to_symbol(
@@ -595,12 +602,12 @@ class _Lifter:
             self.handle_external_tail(state, src_key, instr_addr, extern)
             return
         dst_state = state
-        if state.pred.rip != Const(target):
-            dst_state = state.with_pred(state.pred.with_regs(
-                {**state.pred.reg_dict(), "rip": Const(target)}))
+        rip = rip_const(target)
+        if state.pred.rip != rip:
+            dst_state = state.with_pred(state.pred.with_reg("rip", rip))
         dst_key = code_key(dst_state, self.text_range)
         self.add_edge(src_key, instr_addr, dst_key)
-        self.enqueue(dst_state)
+        self.enqueue(dst_state, dst_key)
 
     # -- calls ------------------------------------------------------------------------------
 
@@ -623,8 +630,9 @@ class _Lifter:
         self.obligations.append(call_obligation(state, rip, "<indirect>"))
         continuation = after_call_state(state, event.return_addr, self.ctx)
         continuation = continuation.mark_reachable(True)
-        self.add_edge(src_key, rip, code_key(continuation, self.text_range))
-        self.enqueue(continuation)
+        key = code_key(continuation, self.text_range)
+        self.add_edge(src_key, rip, key)
+        self.enqueue(continuation, key)
 
     def call_summary(self, rip: int, callee: str, lookup) -> "object | None":
         """Resolve a pointer summary for one call site (None = no oracle or
@@ -656,8 +664,9 @@ class _Lifter:
             continuation = after_call_state(state, return_addr, self.ctx,
                                             summary=summary)
             continuation = continuation.mark_reachable(True)
-            self.add_edge(src_key, rip, code_key(continuation, self.text_range))
-            self.enqueue(continuation)
+            key = code_key(continuation, self.text_range)
+            self.add_edge(src_key, rip, key)
+            self.enqueue(continuation, key)
             return
         if not self.binary.is_executable(target):
             self.annotate("unresolved-call", rip,
@@ -676,8 +685,9 @@ class _Lifter:
             lambda: self.summaries.for_internal(target))
         continuation = after_call_state(state, return_addr, self.ctx,
                                         summary=summary)
-        self.add_edge(src_key, rip, code_key(continuation, self.text_range))
-        self.park_continuation(target, continuation)
+        key = code_key(continuation, self.text_range)
+        self.add_edge(src_key, rip, key)
+        self.park_continuation(target, continuation, key)
 
     def handle_external_tail(self, state: SymState, src_key, rip: int,
                              extern: str) -> None:

@@ -23,8 +23,10 @@ shows that no guard caps the loop (:mod:`repro.hoare.ascent`).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 from repro.expr import (
@@ -141,6 +143,22 @@ class Predicate:
         return Predicate(regs=tuple(sorted(regs.items())), flags=self.flags,
                          mem=self.mem, clauses=self.clauses)
 
+    def with_reg(self, name: str, value: Expr | None) -> "Predicate":
+        """This predicate with register *name* valued *value*, or unvalued
+        when *value* is None.  Equal to :meth:`with_regs` of the updated
+        dict, without the dict: one entry of the name-sorted tuple is
+        replaced, inserted or removed in place."""
+        regs = self.regs
+        i = bisect_left(regs, name, key=_reg_name)
+        found = i < len(regs) and regs[i][0] == name
+        if value is None:
+            if not found:
+                return self
+            regs = regs[:i] + regs[i + 1:]
+        else:
+            regs = regs[:i] + ((name, value),) + regs[i + 1 if found else i:]
+        return Predicate(regs, self.flags, self.mem, self.clauses)
+
     def with_mem(self, mem: dict[Region, Expr]) -> "Predicate":
         return Predicate(
             regs=self.regs, flags=self.flags,
@@ -210,6 +228,9 @@ class Predicate:
         if self.flags is not None:
             parts.append(str(self.flags))
         return "{" + ", ".join(parts) + "}"
+
+
+_reg_name = itemgetter(0)
 
 
 def _rebuild_predicate(regs, flags, mem, clauses) -> Predicate:

@@ -14,6 +14,8 @@ value: that is the overapproximation contract.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from repro.elf import Binary
 from repro.expr import Const, Deref, Expr, Var, simplify as s
 from repro.memmodel import MemModel, relation_in_model
@@ -24,6 +26,7 @@ from repro.smt.solver import (
     Relation,
     decide_relation,
     is_stack_pointer,
+    region_key,
 )
 from repro.semantics.state import LiftContext, SymState
 
@@ -112,19 +115,26 @@ def write_region(
     Valuation clauses the write may touch are dropped; an aliasing clause is
     replaced.  The memory model is expected to already contain *region*
     (step Σ inserts operand regions before calling τ)."""
-    new_mem: dict[Region, Expr] = {}
-    for key, old in state.pred.mem:
-        relation = _relation(state, region, key)
-        if relation is Relation.SEPARATE:
-            new_mem[key] = old
-        # ALIAS is replaced below; ENCLOSED/ENCLOSES/unknown clobber the
-        # clause (a precise byte-merge would also be sound, but clobbering
-        # is simpler and only loses precision).
+    kept = [
+        (key, old) for key, old in state.pred.mem
+        if _relation(state, region, key) is Relation.SEPARATE
+    ]
+    # ALIAS is replaced below; ENCLOSED/ENCLOSES/unknown clobber the
+    # clause (a precise byte-merge would also be sound, but clobbering
+    # is simpler and only loses precision).
     width = region.size * 8
     if value.width > width:
         value = s.low(value, width)
-    new_mem[region] = value
-    return state.pred.with_mem(new_mem)
+    # The kept clauses are still in region_key order: insert the new one
+    # after any that render alike, where a stable re-sort would put it.
+    at = bisect_right(kept, region_key(region), key=_entry_key)
+    kept.insert(at, (region, value))
+    pred = state.pred
+    return Predicate(pred.regs, pred.flags, tuple(kept), pred.clauses)
+
+
+def _entry_key(entry: tuple[Region, Expr]) -> str:
+    return region_key(entry[0])
 
 
 def havoc_non_stack(state: SymState, ctx: LiftContext, keep=None,

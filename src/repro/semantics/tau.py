@@ -15,11 +15,13 @@ the concrete CPU and check exactly this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.expr import Const, Expr, RegRef, Var, simplify as s
 from repro.isa import Imm, Instruction, Mem, Reg, condition_of
-from repro.isa.registers import family_of, with_width
+from repro.isa.registers import family_of, reg_width, with_width
 from repro.memmodel import ins
+from repro.perf import register_cache, register_lru
 from repro.pred import FlagState, Predicate, condition_clause
 from repro.pred.flags import condition_expr
 from repro.smt.solver import Assumption, Region
@@ -46,7 +48,11 @@ class UnsupportedInstruction(NotImplementedError):
 
 
 def mem_addr_expr(mem: Mem, instr: Instruction) -> Expr:
-    """The address computation of a memory operand, over current registers."""
+    """The address computation of a memory operand, over current registers.
+
+    It mentions no register but the operand's base and index, and reads
+    *instr* only for a rip-relative operand: :func:`eval_mem_region`'s
+    memo key rests on both."""
     if mem.base == "rip":
         return Const((instr.end + mem.disp) & ((1 << 64) - 1))
     expr: Expr = Const(mem.disp & ((1 << 64) - 1))
@@ -57,14 +63,59 @@ def mem_addr_expr(mem: Mem, instr: Instruction) -> Expr:
     return expr
 
 
+#: Bound on :data:`_OPERANDS`; past it the oldest entry goes.
+_OPERANDS_MAX = 1 << 14
+#: Memory-operand key -> its Region (None = ⊥).  See :func:`eval_mem_region`.
+_OPERANDS: dict[tuple, Region | None] = {}
+_OPERANDS_COUNTS = [0, 0]  # hits, misses
+
+
+def _operands_stats() -> dict:
+    hits, misses = _OPERANDS_COUNTS
+    return {"hits": hits, "misses": misses, "size": len(_OPERANDS)}
+
+
+def _operands_clear() -> None:
+    _OPERANDS.clear()
+    _OPERANDS_COUNTS[:] = [0, 0]
+
+
+register_cache("semantics.operand", _operands_stats, _operands_clear)
+
+
 def eval_mem_region(
     mem: Mem, instr: Instruction, pred: Predicate
 ) -> Region | None:
-    """Evaluate a memory operand to a Region (None = ⊥, not inserted)."""
-    addr = pred.eval(mem_addr_expr(mem, instr))
-    if addr is None:
-        return None
-    return Region(addr, mem.width // 8)
+    """Evaluate a memory operand to a Region (None = ⊥, not inserted).
+
+    The address is ``pred.eval(mem_addr_expr(mem, instr))`` (Definition
+    4.1), memoized: that expression reads *pred* only at the operand's
+    base and index registers and *instr* only at its end, for a
+    rip-relative operand, so those values and the operand are the key.
+    A step reads each operand up to three times (the fork over the
+    regions, the read, the store), and one stack slot recurs across
+    instructions.  A miss still goes through :func:`mem_addr_expr`, the
+    seam the QA faults patch; :func:`repro.perf.reset_caches` clears the
+    memo."""
+    base = mem.base
+    if base == "rip":
+        key: tuple = (mem, instr.end)
+    else:
+        index = mem.index
+        key = (mem, pred.get_reg(base) if base else None,
+               pred.get_reg(index) if index else None)
+    try:
+        region = _OPERANDS[key]
+    except KeyError:
+        _OPERANDS_COUNTS[1] += 1
+        addr = pred.eval(mem_addr_expr(mem, instr))
+        region = None if addr is None else Region(addr, mem.width // 8)
+        if len(_OPERANDS) >= _OPERANDS_MAX:
+            del _OPERANDS[next(iter(_OPERANDS))]
+        _OPERANDS[key] = region
+        return region
+    _OPERANDS_COUNTS[0] += 1
+    return region
 
 
 def _instruction_regions(
@@ -152,28 +203,19 @@ def _operand_width(op) -> int:
 def _write_reg(pred: Predicate, name: str, value: Expr | None) -> Predicate:
     """Write a (possibly sub-) register; None clears the valuation."""
     family = family_of(name)
-    regs = pred.reg_dict()
-    from repro.isa.registers import reg_width
-
     width = reg_width(name)
-    if value is None:
-        regs.pop(family, None)
-        return pred.with_regs(regs)
-    if width == 64:
-        regs[family] = value
-    elif width == 32:
-        regs[family] = s.zext(s.low(value, 32) if value.width > 32 else value, 64)
-    else:
-        old = regs.get(family)
-        if old is None:
-            regs.pop(family, None)
-            return pred.with_regs(regs)
-        keep_mask = ~((1 << width) - 1)
-        narrowed = s.low(value, width) if value.width > width else value
-        regs[family] = s.or_(
-            s.and_(old, Const(keep_mask)), s.zext(narrowed, 64)
-        )
-    return pred.with_regs(regs)
+    if value is None or width == 64:
+        return pred.with_reg(family, value)
+    if width == 32:
+        return pred.with_reg(
+            family, s.zext(s.low(value, 32) if value.width > 32 else value, 64))
+    old = pred.get_reg(family)
+    if old is None:
+        return pred
+    keep_mask = ~((1 << width) - 1)
+    narrowed = s.low(value, width) if value.width > width else value
+    return pred.with_reg(
+        family, s.or_(s.and_(old, Const(keep_mask)), s.zext(narrowed, 64)))
 
 
 def _store(
@@ -210,10 +252,18 @@ def _unknown_write(
     return havocked, (event,)
 
 
+@lru_cache(maxsize=1 << 12)
+def rip_const(addr: int) -> Const:
+    """``Const(addr)``, memoized: every step writes one into rip, and the
+    interned constructor costs more than the rest of the write."""
+    return Const(addr)
+
+
+register_lru("semantics.rip_const", rip_const)
+
+
 def _advance(pred: Predicate, instr: Instruction) -> Predicate:
-    regs = pred.reg_dict()
-    regs["rip"] = Const(instr.end)
-    return pred.with_regs(regs)
+    return pred.with_reg("rip", rip_const(instr.end))
 
 
 # -- the transformer ------------------------------------------------------------------
@@ -251,16 +301,10 @@ def _jmp(state: SymState, instr: Instruction, ctx: LiftContext) -> list[Successo
     (target,) = instr.operands
     if isinstance(target, Imm):
         dest = (instr.end + target.signed) & ((1 << 64) - 1)
-        pred = state.pred.with_regs({**state.pred.reg_dict(), "rip": Const(dest)})
-        return [Successor(state.with_pred(pred))]
+        return [Successor(state.with_pred(
+            state.pred.with_reg("rip", rip_const(dest))))]
     value = _read_operand(state, target, instr, ctx)
-    regs = state.pred.reg_dict()
-    if value is None:
-        regs.pop("rip", None)
-    else:
-        regs["rip"] = value
-    pred = state.pred.with_regs(regs)
-    return [Successor(state.with_pred(pred))]
+    return [Successor(state.with_pred(state.pred.with_reg("rip", value)))]
 
 
 def _call(state: SymState, instr: Instruction, ctx: LiftContext) -> list[Successor]:
@@ -270,9 +314,9 @@ def _call(state: SymState, instr: Instruction, ctx: LiftContext) -> list[Success
     else:
         dest = _read_operand(state, target, instr, ctx)
     event = CallEvent(target=dest, return_addr=instr.end)
-    regs = state.pred.reg_dict()
-    regs.pop("rip", None)  # the lifter decides where control goes
-    return [Successor(state.with_pred(state.pred.with_regs(regs)), events=(event,))]
+    # The lifter decides where control goes.
+    pred = state.pred.with_reg("rip", None)
+    return [Successor(state.with_pred(pred), events=(event,))]
 
 
 def _ret(state: SymState, instr: Instruction, ctx: LiftContext) -> list[Successor]:
@@ -281,29 +325,24 @@ def _ret(state: SymState, instr: Instruction, ctx: LiftContext) -> list[Successo
     value: Expr | None = None
     if rsp is not None:
         value = read_region(state, Region(rsp, 8), ctx)
-    regs = pred.reg_dict()
-    if value is None:
-        regs.pop("rip", None)
-    else:
-        regs["rip"] = value
+    pred = pred.with_reg("rip", value)
     rsp_after: Expr | None = None
     if rsp is not None:
         pop_bytes = 8 + (instr.operands[0].value if instr.operands else 0)
         rsp_after = s.add(rsp, Const(pop_bytes))
-        regs["rsp"] = rsp_after
-    pred = pred.with_regs(regs)
+        pred = pred.with_reg("rsp", rsp_after)
     event = RetEvent(target=value, rsp_after=rsp_after)
     return [Successor(state.with_pred(pred), events=(event,))]
 
 
 def _jcc(state: SymState, instr: Instruction, cc: str) -> list[Successor]:
     (target,) = instr.operands
-    taken_rip = Const((instr.end + target.signed) & ((1 << 64) - 1))
-    fall_rip = Const(instr.end)
+    taken_rip = rip_const((instr.end + target.signed) & ((1 << 64) - 1))
+    fall_rip = rip_const(instr.end)
     flags = state.pred.flags
     successors = []
     for taken, rip in ((True, taken_rip), (False, fall_rip)):
-        pred = state.pred.with_regs({**state.pred.reg_dict(), "rip": rip})
+        pred = state.pred.with_reg("rip", rip)
         if flags is not None:
             clause = condition_clause(flags, cc, taken)
             if clause is not None:
@@ -360,9 +399,9 @@ def _dataflow(
 
     if mnemonic == "lea":
         dst, src = ops
-        addr = pred.eval(mem_addr_expr(src, instr))
-        value = None if addr is None else (
-            s.low(addr, dst.width) if dst.width < 64 else addr
+        region = eval_mem_region(src, instr, pred)
+        value = None if region is None else (
+            s.low(region.addr, dst.width) if dst.width < 64 else region.addr
         )
         return _store(state, dst, value, instr, ctx)
 
